@@ -37,7 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 def build_returned_tuple(
     table: Table, row_id: int, display_columns: Sequence[str] = ()
 ) -> ReturnedTuple:
-    """Render one table row the way a result page displays it."""
+    """Render one table row the way a result page displays it.
+
+    Selectable values come from the table index's code columns, which binned
+    every cell once at build time.
+    """
     row = table[row_id]
     values: dict[str, Value] = {
         attribute.name: row[attribute.name] for attribute in table.schema
@@ -45,7 +49,7 @@ def build_returned_tuple(
     for column in display_columns:
         if column in row:
             values[column] = row[column]
-    selectable = table.selectable_row(row)
+    selectable = table.index.selectable_row(row_id)
     return ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable)
 
 

@@ -131,12 +131,12 @@ class ConcurrentShardRouter(ShardRouter):
 
     def _gather(self, query: ConjunctiveQuery) -> list[InterfaceResponse]:
         pool = self._pool.get()
-        if self._partition_index is not None:
-            buckets = self._partition(query)
+        if self._partition_rank is not None:
+            masked = self._partition(query)
             return list(
                 pool.map(
                     scoped_to_current_deadline(lambda pair: pair[0].respond(query, pair[1])),
-                    zip(self._shards, buckets),
+                    zip(self._shards, masked),
                 )
             )
         return list(

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.backends.adapters import build_returned_tuple
+from repro.database.index import RankCache
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction, RowIdRanking
@@ -76,6 +77,7 @@ class TableShardBackend:
         self.display_columns = tuple(display_columns)
         self._index = table.index
         self._rank = table.index.rank_cache(self._ranking)
+        self._mask = self._rank.shard_masks(n_shards)[shard_index]
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -91,34 +93,23 @@ class TableShardBackend:
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer ``query`` over this shard's rows only; counts are exact."""
-        matching = [
-            row_id
-            for row_id in self._index.matching_row_ids(query)
-            if row_id % self.n_shards == self.shard_index
-        ]
-        return self.respond(query, matching)
+        return self.respond(query, self._rank.match(query) & self._mask)
 
-    def respond(self, query: ConjunctiveQuery, matching: list[int]) -> InterfaceResponse:
-        """Rank, cut and render ``matching`` — this shard's rows for ``query``.
+    def respond(self, query: ConjunctiveQuery, bits: int) -> InterfaceResponse:
+        """Cut and render ``bits`` — this shard's rows for ``query``.
 
-        ``matching`` must contain exactly the shard's own matching row ids.
-        :class:`ShardRouter` uses this to evaluate the conjunctive query once
-        on the shared index and hand every shard its pre-partitioned slice,
-        instead of paying one full intersection per shard.
+        ``bits`` is a rank-order bitmap of the shared :class:`RankCache` with
+        exactly the shard's own matching rows set.  :class:`ShardRouter` uses
+        this to evaluate the conjunctive query once on the shared index and
+        hand every shard its masked slice.
         """
-        total = len(matching)
-        if total <= self._k:
-            returned = self._rank.order(matching)
-            overflow = False
-        else:
-            returned = self._rank.top_k(matching, self._k)
-            overflow = True
+        total, returned = self._rank.page(bits, self._k)
         tuples = tuple(
             build_returned_tuple(self._table, row_id, self.display_columns)
             for row_id in returned
         )
         return InterfaceResponse(
-            query=query, tuples=tuples, overflow=overflow, reported_count=total, k=self._k
+            query=query, tuples=tuples, overflow=total > self._k, reported_count=total, k=self._k
         )
 
     def rank_position(self, tuple_id: int) -> float:
@@ -168,14 +159,16 @@ class ShardRouter:
         self.display_columns: tuple[str, ...] = tuple(
             getattr(self._shards[0], "display_columns", ())
         )
-        self._partition_index = self._detect_table_partition()
+        self._partition_rank = self._detect_table_partition()
 
-    def _detect_table_partition(self):
-        """The shared :class:`TableIndex` when the shards exactly modulo-
-        partition one table (the :meth:`over_table` layout), else ``None``.
+    def _detect_table_partition(self) -> RankCache | None:
+        """The shared :class:`RankCache` when the shards exactly modulo-
+        partition one table under one ranking (the :meth:`over_table`
+        layout), else ``None``.
 
-        Only then may the router evaluate each query once and split the
-        match list, rather than scatter a full evaluation to every shard.
+        Only then may the router evaluate each query once and mask the
+        match bitmap per shard, rather than scatter a full evaluation to
+        every shard.
         """
         n = len(self._shards)
         for position, shard in enumerate(self._shards):
@@ -183,9 +176,9 @@ class ShardRouter:
                 return None
             if shard.n_shards != n or shard.shard_index != position:
                 return None
-            if shard._table is not self._shards[0]._table:
+            if shard._rank is not self._shards[0]._rank:
                 return None
-        return self._shards[0]._index
+        return self._shards[0]._rank
 
     @classmethod
     def over_table(
@@ -259,25 +252,22 @@ class ShardRouter:
         touching what they compute — the merge consumes responses in shard
         order either way, which is what makes the two byte-identical.
         """
-        if self._partition_index is not None:
+        if self._partition_rank is not None:
             return [
-                shard.respond(query, bucket)
-                for shard, bucket in zip(self._shards, self._partition(query))
+                shard.respond(query, bits)
+                for shard, bits in zip(self._shards, self._partition(query))
             ]
         return [shard.submit(query) for shard in self._shards]
 
-    def _partition(self, query: ConjunctiveQuery) -> list[list[int]]:
-        """Bucket the shared-index match list by owning shard.
+    def _partition(self, query: ConjunctiveQuery) -> list[int]:
+        """Split the shared rank-order match bitmap by owning shard.
 
-        Only valid on the :meth:`over_table` layout: intersect once on the
-        shared index, hand each shard its slice to rank, instead of paying
-        one full intersection per shard.
+        Only valid on the :meth:`over_table` layout: AND the predicates once,
+        then mask the result with each shard's rank positions, instead of
+        paying one full evaluation per shard.
         """
-        n = len(self._shards)
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for row_id in self._partition_index.matching_row_ids(query):
-            buckets[row_id % n].append(row_id)
-        return buckets
+        bits = self._partition_rank.match(query)
+        return [bits & mask for mask in self._partition_rank.shard_masks(len(self._shards))]
 
     def _merge(
         self, query: ConjunctiveQuery, responses: list[InterfaceResponse]

@@ -7,11 +7,12 @@ flag.  Nothing in here is visible to the sampler except through
 :class:`~repro.database.interface.HiddenDatabaseInterface`.
 
 Complexity contract: by default the engine evaluates queries on the table's
-:class:`~repro.database.index.TableIndex` — smallest-first posting-list
-intersection for matching, ``count()`` without row materialisation, and
-memoised rank positions for ``VALID`` ordering / ``OVERFLOW`` top-k — so one
-query costs O(min-posting · |q|) plus O(m log m) integer sorting instead of a
-full O(rows · |q|) scan with per-comparison rank-key recomputation.  Passing
+:class:`~repro.database.index.TableIndex` and the ranking's memoised
+:class:`~repro.database.index.RankCache` — the predicates' rank-order bitmaps
+are ANDed, ``int.bit_count()`` gives the match count, and the lowest ``k``
+set bits are the ``VALID`` ordering or ``OVERFLOW`` top-k — so one query
+costs a few C-level passes over an ``n``-bit integer instead of a full
+O(rows · |q|) scan with per-comparison rank-key recomputation.  Passing
 ``use_index=False`` restores the naive scan, which the property tests use as
 the oracle the indexed path must match result-for-result.
 """
@@ -84,7 +85,7 @@ class QueryEngine:
         when a query overflows.  Defaults to ranking by row id.
     use_index:
         When true (the default) conjunctive queries are answered from the
-        table's inverted index and the memoised rank order; when false every
+        table's bitmap index and the memoised rank order; when false every
         query falls back to the naive full scan (the test oracle).
     """
 
@@ -115,28 +116,27 @@ class QueryEngine:
             return self.table.index.count(query)
         return len(self.table.matching_row_ids(query.matches))
 
-    def _ranked(self, matching: list[int], k: int | None) -> tuple[int, ...]:
-        """Rank ``matching`` (all of it, or its top ``k``) deterministically."""
+    def execute(self, query: ConjunctiveQuery) -> QueryResult:
+        """Evaluate ``query`` and apply the top-``k`` display restriction."""
         if self.use_index:
             cache = self._rank_cache
             if cache is None:
                 cache = self._rank_cache = self.table.index.rank_cache(self.ranking)
-            if k is None:
-                return tuple(cache.order(matching))
-            return tuple(cache.top_k(matching, k))
-        if k is None:
-            return tuple(self.ranking.order(self.table, matching))
-        return tuple(self.ranking.top_k(self.table, matching, k))
-
-    def execute(self, query: ConjunctiveQuery) -> QueryResult:
-        """Evaluate ``query`` and apply the top-``k`` display restriction."""
-        matching = self.matching_row_ids(query)
-        total = len(matching)
+            total, returned = cache.page(cache.match(query), self.k)
+        else:
+            matching = self.table.matching_row_ids(query.matches)
+            total = len(matching)
+            if total <= self.k:
+                returned = self.ranking.order(self.table, matching)
+            else:
+                returned = self.ranking.top_k(self.table, matching, self.k)
         if total == 0:
-            return QueryResult(query, QueryOutcome.EMPTY, (), 0, self.k)
-        if total <= self.k:
-            return QueryResult(query, QueryOutcome.VALID, self._ranked(matching, None), total, self.k)
-        return QueryResult(query, QueryOutcome.OVERFLOW, self._ranked(matching, self.k), total, self.k)
+            outcome = QueryOutcome.EMPTY
+        elif total <= self.k:
+            outcome = QueryOutcome.VALID
+        else:
+            outcome = QueryOutcome.OVERFLOW
+        return QueryResult(query, outcome, tuple(returned), total, self.k)
 
     def rows(self, row_ids: Sequence[int]) -> list[Row]:
         """Materialise rows by id (what the result page displays)."""

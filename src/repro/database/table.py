@@ -41,10 +41,16 @@ class Table:
         self._rows: tuple[dict[str, Value], ...] = tuple(dict(row) for row in rows)
         self._index: "TableIndex | None" = None
         if validate:
-            self._validate()
-            # Validated tables pay the (linear) index build up front so every
-            # engine/interface over them shares the posting lists from query one.
-            _ = self.index
+            # The index build bins every cell, so it doubles as validation;
+            # only a failed build pays for the row-major pass, which reports
+            # the same first error a separate validation would.
+            from repro.database.index import TableIndex
+
+            try:
+                self._index = TableIndex(self, strict=True)
+            except (DomainValueError, KeyError, TypeError, ValueError):
+                self._validate()
+                raise
 
     def _validate(self) -> None:
         for index, row in enumerate(self._rows):
@@ -55,7 +61,11 @@ class Table:
                     )
                 value = row[attribute.name]
                 if attribute.kind is AttributeKind.NUMERIC:
-                    if attribute.domain.bucket_for(float(value)) is None:  # type: ignore[arg-type]
+                    try:
+                        bucket = attribute.domain.bucket_for(value)  # type: ignore[arg-type]
+                    except (TypeError, ValueError):
+                        bucket = None
+                    if bucket is None:
                         raise DomainValueError(attribute.name, value)
                 else:
                     attribute.validate_value(value)
@@ -78,7 +88,7 @@ class Table:
 
     @property
     def index(self) -> "TableIndex":
-        """The table's inverted index, built on first access and then shared.
+        """The table's bitmap index, built on first access and then shared.
 
         Tables are immutable, so one :class:`~repro.database.index.TableIndex`
         serves every query engine and interface over this table.  Validated

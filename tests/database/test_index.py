@@ -1,4 +1,4 @@
-"""Unit tests for the inverted-index subsystem (posting lists, rank caches)."""
+"""Unit tests for the bitmap-index subsystem (code columns, bitmaps, rank caches)."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from repro.database.index import RankCache, TableIndex
 from repro.database.interface import HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import HashRanking, StaticScoreRanking
+from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
+from repro.exceptions import DomainValueError
 
 
 class TestTableIndex:
@@ -16,15 +18,15 @@ class TestTableIndex:
         assert index is tiny_table.index
         assert QueryEngine(tiny_table, k=2).table.index is index
 
-    def test_posting_lists_are_sorted_int64_arrays(self, tiny_table):
-        from array import array
-
+    def test_posting_lists_hold_ascending_row_ids(self, tiny_table):
         index = tiny_table.index
-        assert index.posting_list("make", "Toyota") == array("q", (0, 1, 2, 3))
-        assert index.posting_list("color", "red") == array("q", (0, 2, 4, 6))
-        assert index.posting_list("price", "0-10000") == array("q", (0, 3, 6))
-        assert tuple(index.posting_list("make", "Tesla")) == ()
-        assert isinstance(index.posting_list("make", "Toyota"), array)
+        assert index.posting_list("make", "Toyota") == [0, 1, 2, 3]
+        assert index.posting_list("make", "Honda") == [4, 5]
+        assert index.posting_list("make", "Ford") == [6, 7]
+        assert index.posting_list("color", "red") == [0, 2, 4, 6]
+        assert index.posting_list("color", "blue") == [1, 3, 5, 7]
+        assert index.posting_list("price", "0-10000") == [0, 3, 6]
+        assert index.posting_list("make", "Tesla") == []
 
     def test_numeric_column_is_binned_once_into_labels(self, tiny_table):
         column = tiny_table.index.selectable_column("price")
@@ -54,6 +56,45 @@ class TestTableIndex:
         assert table.index.matching_row_ids(query) == []
         assert tuple(table.index.posting_list("make", "Ford")) == (0,)
 
+    def test_unvalidated_out_of_bucket_row_cannot_be_rendered(self, tiny_schema):
+        from repro.backends.adapters import build_returned_tuple
+
+        table = Table(
+            tiny_schema,
+            [
+                {"make": "Ford", "color": "red", "price": 5_000.0},
+                {"make": "Ford", "color": "red", "price": 999_999.0},
+            ],
+            validate=False,
+        )
+        assert build_returned_tuple(table, 0).selectable_values["price"] == "0-10000"
+        with pytest.raises(DomainValueError) as raised:
+            build_returned_tuple(table, 1)
+        assert raised.value.attribute == "price"
+        assert raised.value.value == 999_999.0
+
+    def test_domains_wider_than_a_byte_index_like_the_scan(self):
+        schema = Schema(
+            [
+                Attribute("code", Domain.categorical(tuple(range(300)))),
+                Attribute("flag", Domain.boolean()),
+            ]
+        )
+        rows = [{"code": (row_id * 7) % 300, "flag": row_id % 3 == 0} for row_id in range(600)]
+        table = Table(schema, rows)
+        assert table.index.posting_list("code", 259) == [37, 337]
+        assert table.index.selectable_row(37) == {"code": 259, "flag": False}
+        ranking = HashRanking("wide")
+        indexed = QueryEngine(table, k=5, ranking=ranking)
+        scan = QueryEngine(table, k=5, ranking=ranking, use_index=False)
+        for assignment in ({"code": 259}, {"code": 3, "flag": True}, {"flag": False}, {}):
+            query = ConjunctiveQuery.from_assignment(schema, assignment)
+            assert indexed.execute(query) == scan.execute(query)
+            assert indexed.matching_row_ids(query) == scan.matching_row_ids(query)
+        masks = table.index.rank_cache(ranking).shard_masks(257)
+        assert sum(masks) == (1 << 600) - 1
+        assert masks[256].bit_count() == 2
+
     def test_rank_cache_is_memoised_per_ranking_instance(self, tiny_table):
         index = tiny_table.index
         ranking = StaticScoreRanking()
@@ -77,14 +118,25 @@ class TestTableIndex:
 
 class TestRankCache:
     @pytest.mark.parametrize("ranking", [StaticScoreRanking(), HashRanking("idx")])
-    def test_order_and_top_k_match_the_naive_ranking(self, tiny_table, ranking):
+    def test_order_and_top_k_match_the_naive_ranking(self, tiny_table, tiny_schema, ranking):
         cache = RankCache(tiny_table, ranking)
         ids = [5, 0, 7, 2, 3]
-        assert cache.order(ids) == ranking.order(tiny_table, ids)
-        assert cache.top_k(ids, 2) == ranking.top_k(tiny_table, ids, 2)
-        assert cache.top_k(ids, 99) == ranking.top_k(tiny_table, ids, 99)
-        with pytest.raises(ValueError):
-            cache.top_k(ids, -1)
+        bits = sum(1 << cache.position[row_id] for row_id in ids)
+        assert cache.page(bits, len(ids)) == (5, ranking.order(tiny_table, ids))
+        assert cache.page(bits, 2) == (5, ranking.top_k(tiny_table, ids, 2))
+        assert cache.page(bits, 99) == (5, ranking.top_k(tiny_table, ids, 99))
+        assert cache.page(0, 3) == (0, [])
+        red = ConjunctiveQuery.from_assignment(tiny_schema, {"color": "red"})
+        assert cache.page(cache.match(red), 8)[1] == ranking.order(tiny_table, [0, 2, 4, 6])
+
+    def test_shard_masks_partition_the_rank_positions(self, tiny_table):
+        cache = RankCache(tiny_table, HashRanking("shards"))
+        masks = cache.shard_masks(3)
+        assert sum(masks) == (1 << len(tiny_table)) - 1
+        for shard, mask in enumerate(masks):
+            positions = [p for p in range(len(tiny_table)) if mask >> p & 1]
+            assert all(cache.by_rank[p] % 3 == shard for p in positions)
+        assert cache.shard_masks(3) is masks
 
     def test_by_rank_is_a_permutation_of_all_rows(self, tiny_table):
         cache = RankCache(tiny_table, HashRanking("perm"))

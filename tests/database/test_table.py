@@ -24,6 +24,47 @@ class TestValidation:
         table = Table(tiny_schema, [{"make": "Tesla", "color": "red", "price": 1.0}], validate=False)
         assert len(table) == 1
 
+    @pytest.mark.parametrize("cell", ["abc", None, [1.0]])
+    def test_non_numeric_cell_in_numeric_column_is_a_domain_error(self, tiny_schema, cell):
+        with pytest.raises(DomainValueError) as raised:
+            Table(tiny_schema, [{"make": "Ford", "color": "red", "price": cell}])
+        assert raised.value.attribute == "price"
+        assert raised.value.value == cell
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Row-major order meets row 0's price before row 1's make; an
+            # attribute-at-a-time pass would meet the make first.
+            [
+                {"make": "Ford", "color": "red", "price": 999_999.0},
+                {"make": "Tesla", "color": "red", "price": 5_000.0},
+            ],
+            [
+                {"make": "Ford", "color": "red", "price": "abc"},
+                {"make": "Ford", "color": "green", "price": 5_000.0},
+                {"make": "Ford", "price": 5_000.0},
+            ],
+            [
+                {"make": "Ford", "color": "red", "price": 5_000.0},
+                {"make": "Ford", "color": "red"},
+                {"make": "Tesla", "color": "red", "price": None},
+            ],
+            [
+                {"make": "Ford", "color": "red", "price": 5_000.0},
+                {"make": "Ford", "color": ["red"], "price": 5_000.0},
+                {"make": "Tesla", "color": "red", "price": 5_000.0},
+            ],
+        ],
+    )
+    def test_several_bad_cells_report_the_row_major_first_error(self, tiny_schema, rows):
+        with pytest.raises(SchemaError) as folded:
+            Table(tiny_schema, rows)
+        with pytest.raises(SchemaError) as row_major:
+            Table(tiny_schema, rows, validate=False)._validate()
+        assert type(folded.value) is type(row_major.value)
+        assert str(folded.value) == str(row_major.value)
+
 
 class TestAccess:
     def test_len_iter_getitem(self, tiny_table):

@@ -15,6 +15,8 @@ from repro.algorithms.acceptance_rejection import (
 from repro.algorithms.base import Candidate, WalkTrace
 from repro.analytics.histogram import Histogram
 from repro.analytics.skew import kl_divergence, total_variation_distance
+from repro.backends.adapters import QueryEngineBackend
+from repro.backends.shard import ShardRouter
 from repro.core.history import QueryHistoryCache
 from repro.database.engine import QueryEngine
 from repro.database.interface import CountMode, HiddenDatabaseInterface
@@ -71,10 +73,12 @@ def schemas(draw) -> Schema:
 
 
 @st.composite
-def schema_and_table(draw) -> tuple[Schema, Table]:
+def schema_and_table(
+    draw, row_counts=st.integers(min_value=0, max_value=30)
+) -> tuple[Schema, Table]:
     """A random schema together with a random table conforming to it."""
     schema = draw(schemas())
-    n_rows = draw(st.integers(min_value=0, max_value=30))
+    n_rows = draw(row_counts)
     rng = random.Random(draw(st.integers(0, 2**16)))
     rows = []
     for _ in range(n_rows):
@@ -198,6 +202,11 @@ class TestEngineProperties:
 # --------------------------------------------------------------------------------------
 
 
+#: Row counts at the edges of a bitmap's bytes (8 bits), CPython int digits
+#: (30 bits) and machine words (64 bits), plus 255-257 around a byte's range.
+_BITMAP_EDGE_ROW_COUNTS = [0, 1, 7, 8, 9, 29, 30, 31, 63, 64, 65, 255, 256, 257]
+
+
 def _rankings():
     """One instance of each concrete ranking function (fresh per example)."""
     return [
@@ -242,6 +251,32 @@ class TestIndexedScanEquivalence:
             assert fast.k == slow.k
             assert indexed.count(query) == scan.count(query)
             assert indexed.matching_row_ids(query) == scan.matching_row_ids(query)
+
+    @given(
+        data=schema_and_table(row_counts=st.sampled_from(_BITMAP_EDGE_ROW_COUNTS)),
+        k_choice=st.sampled_from(["1", "n", "n+1"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitmap_word_and_byte_edges_match_the_scan(self, data, k_choice, seed):
+        """Row counts around bitmap byte and digit boundaries, with k = 1,
+        k = n and k > n: execute, count, matching_row_ids and a 4-shard
+        router all agree with the scan oracle."""
+        schema, table = data
+        n = len(table)
+        k = {"1": 1, "n": max(n, 1), "n+1": n + 1}[k_choice]
+        queries = [ConjunctiveQuery.empty(schema)]
+        queries += _random_query_sequence(schema, random.Random(seed), 4)
+        for ranking in _rankings():
+            indexed = QueryEngine(table, k=k, ranking=ranking)
+            scan = QueryEngine(table, k=k, ranking=ranking, use_index=False)
+            oracle = QueryEngineBackend(table, k, ranking=ranking, use_index=False)
+            router = ShardRouter.over_table(table, 4, k=k, ranking=ranking)
+            for query in queries:
+                assert indexed.execute(query) == scan.execute(query)
+                assert indexed.count(query) == scan.count(query)
+                assert indexed.matching_row_ids(query) == scan.matching_row_ids(query)
+                assert router.submit(query) == oracle.submit(query)
 
     @given(
         data=table_and_query(),
