@@ -1,8 +1,9 @@
 """Raw-backend adapters: the two concrete access paths of the reproduction.
 
 * :class:`QueryEngineBackend` — the direct in-process path: evaluate the
-  query on a :class:`~repro.database.engine.QueryEngine` and render the
-  result rows as :class:`~repro.database.interface.ReturnedTuple`\\ s.
+  query on a :class:`~repro.database.engine.QueryEngine` and list the
+  result rows on a :class:`~repro.database.interface.ResultPage` that
+  renders each :class:`~repro.database.interface.ReturnedTuple` on read.
 * :class:`WebPageBackend` — the scraping path: encode the query as a form
   submission against a :class:`~repro.web.server.HiddenWebSite`, fetch the
   result page and parse the listed tuples back out of the HTML.
@@ -18,10 +19,11 @@ the scraping path count shaping already happened server-side.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.database.engine import QueryEngine, QueryOutcome, QueryResult
-from repro.database.interface import InterfaceResponse, ReturnedTuple
+from repro.database.interface import InterfaceResponse, ResultPage, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Attribute, AttributeKind, Schema, Value
@@ -51,6 +53,21 @@ def build_returned_tuple(
             values[column] = row[column]
     selectable = table.index.selectable_row(row_id)
     return ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable)
+
+
+def render_page(
+    table: Table, row_ids: Sequence[int], display_columns: Sequence[str] = ()
+) -> ResultPage:
+    """The result page listing ``row_ids``, each row rendered on first read.
+
+    A table with cells outside their domain (built with ``validate=False``)
+    renders its pages at once, so a bad row fails the submit that lists it
+    rather than whoever reads the page first.
+    """
+    page = ResultPage(row_ids, partial(build_returned_tuple, table, display_columns=display_columns))
+    if table.index.has_unbinnable:
+        tuple(page)
+    return page
 
 
 class QueryEngineBackend:
@@ -104,13 +121,9 @@ class QueryEngineBackend:
     # -- internals ------------------------------------------------------------
 
     def _build_response(self, result: QueryResult) -> InterfaceResponse:
-        tuples = tuple(
-            build_returned_tuple(self._table, row_id, self.display_columns)
-            for row_id in result.returned_row_ids
-        )
         return InterfaceResponse(
             query=result.query,
-            tuples=tuples,
+            tuples=render_page(self._table, result.returned_row_ids, self.display_columns),
             overflow=result.outcome is QueryOutcome.OVERFLOW,
             reported_count=result.total_count,
             k=result.k,

@@ -608,14 +608,7 @@ class HistoryLayer:
                 entries.append(
                     {
                         "query": response.query.assignment(),
-                        "tuples": [
-                            {
-                                "tuple_id": t.tuple_id,
-                                "values": dict(t.values),
-                                "selectable_values": dict(t.selectable_values),
-                            }
-                            for t in response.tuples
-                        ],
+                        "tuples": [t.to_dict() for t in response.tuples],
                         "overflow": response.overflow,
                         "reported_count": response.reported_count,
                     }
@@ -631,17 +624,9 @@ class HistoryLayer:
         loaded = 0
         for entry in entries:
             query = ConjunctiveQuery.from_assignment(self.schema, entry["query"])
-            tuples = tuple(
-                ReturnedTuple(
-                    tuple_id=t["tuple_id"],
-                    values=dict(t["values"]),
-                    selectable_values=dict(t["selectable_values"]),
-                )
-                for t in entry["tuples"]
-            )
             response = InterfaceResponse(
                 query=query,
-                tuples=tuples,
+                tuples=tuple(map(ReturnedTuple.from_dict, entry["tuples"])),
                 overflow=bool(entry["overflow"]),
                 reported_count=entry.get("reported_count"),
                 k=self.k,

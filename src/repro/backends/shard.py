@@ -25,23 +25,56 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.backends.adapters import build_returned_tuple
+from repro.backends.adapters import render_page
 from repro.database.index import RankCache
-from repro.database.interface import InterfaceResponse, ReturnedTuple
+from repro.database.interface import InterfaceResponse, ResultPage, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction, RowIdRanking
 from repro.database.schema import Schema
 from repro.database.table import Table
 from repro.exceptions import InterfaceError
 
-#: Orders merged tuples; smaller sorts first.  Must agree with the shards'
-#: own internal ranking for the scatter/gather to be lossless.
-MergeKey = Callable[[ReturnedTuple], float]
+#: Orders merged tuples by tuple id; smaller sorts first.  Must agree with
+#: the shards' own internal ranking for the scatter/gather to be lossless.
+MergeKey = Callable[[int], float]
 
 
-def _by_tuple_id(returned: ReturnedTuple) -> float:
+def _by_tuple_id(tuple_id: int) -> float:
     """Default merge order: ascending tuple id (correct for row-id ranking)."""
-    return float(returned.tuple_id)
+    return float(tuple_id)
+
+
+def _tuple_ids(tuples: Sequence[ReturnedTuple]) -> Sequence[int]:
+    """A page's tuple ids, read without rendering a lazy page."""
+    if isinstance(tuples, ResultPage):
+        return tuples.tuple_ids
+    return [returned.tuple_id for returned in tuples]
+
+
+def _merge_pages(
+    pages: Sequence[Sequence[ReturnedTuple]], merge_key: MergeKey, k: int
+) -> ResultPage:
+    """The ``k`` first tuples of ``pages`` under ``merge_key``, rendered on read.
+
+    Merges on tuple ids alone (stable, so ties keep page order); each kept
+    tuple is rendered by reading its position on the page it came from.
+    Shards partition the catalogue, so an id appears on one page only.
+    """
+    kept = sorted(
+        (
+            (tuple_id, page, position)
+            for page in pages
+            for position, tuple_id in enumerate(_tuple_ids(page))
+        ),
+        key=lambda candidate: merge_key(candidate[0]),
+    )[:k]
+    source = {tuple_id: (page, position) for tuple_id, page, position in kept}
+
+    def render(tuple_id: int) -> ReturnedTuple:
+        page, position = source[tuple_id]
+        return page[position]
+
+    return ResultPage([tuple_id for tuple_id, _, _ in kept], render)
 
 
 class TableShardBackend:
@@ -96,7 +129,7 @@ class TableShardBackend:
         return self.respond(query, self._rank.match(query) & self._mask)
 
     def respond(self, query: ConjunctiveQuery, bits: int) -> InterfaceResponse:
-        """Cut and render ``bits`` — this shard's rows for ``query``.
+        """Cut ``bits`` to a page — this shard's rows for ``query``.
 
         ``bits`` is a rank-order bitmap of the shared :class:`RankCache` with
         exactly the shard's own matching rows set.  :class:`ShardRouter` uses
@@ -104,12 +137,12 @@ class TableShardBackend:
         hand every shard its masked slice.
         """
         total, returned = self._rank.page(bits, self._k)
-        tuples = tuple(
-            build_returned_tuple(self._table, row_id, self.display_columns)
-            for row_id in returned
-        )
         return InterfaceResponse(
-            query=query, tuples=tuples, overflow=total > self._k, reported_count=total, k=self._k
+            query=query,
+            tuples=render_page(self._table, returned, self.display_columns),
+            overflow=total > self._k,
+            reported_count=total,
+            k=self._k,
         )
 
     def rank_position(self, tuple_id: int) -> float:
@@ -213,7 +246,7 @@ class ShardRouter:
             )
             for shard_index in range(n_shards)
         ]
-        merge_key = lambda t: shards[0].rank_position(t.tuple_id)  # noqa: E731
+        merge_key = shards[0].rank_position
         if shard_layer is not None:
             router = cls([shard_layer(shard) for shard in shards], merge_key=merge_key)
             # Layers do not forward ``display_columns``; re-advertise what the
@@ -272,7 +305,7 @@ class ShardRouter:
     def _merge(
         self, query: ConjunctiveQuery, responses: list[InterfaceResponse]
     ) -> InterfaceResponse:
-        """Sum the exact shard counts, merge ranked tuples, re-cut to top-``k``."""
+        """Sum the exact shard counts, merge ranked tuple ids, re-cut to top-``k``."""
         total = 0
         for response in responses:
             if response.reported_count is None:
@@ -281,12 +314,9 @@ class ShardRouter:
                     "shaping above the router, not below it"
                 )
             total += response.reported_count
-        merged = sorted(
-            (t for response in responses for t in response.tuples), key=self._merge_key
-        )
         return InterfaceResponse(
             query=query,
-            tuples=tuple(merged[: self._k]),
+            tuples=_merge_pages([r.tuples for r in responses], self._merge_key, self._k),
             overflow=total > self._k,
             reported_count=total,
             k=self._k,

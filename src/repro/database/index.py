@@ -212,6 +212,9 @@ class TableIndex:
         #: attribute -> (code per row, selectable value per code); a code equal
         #: to the number of values marks a cell outside the domain.
         self.code_columns: dict[str, tuple[Sequence[int], tuple[Value, ...]]] = {}
+        #: Whether any cell is outside its domain (only possible on tables
+        #: built with ``validate=False``); rendering such a row raises.
+        self.has_unbinnable = False
         for attribute in table.schema:
             name = attribute.name
             cells = list(map(itemgetter(name), table.rows))
@@ -231,8 +234,10 @@ class TableIndex:
                 code_of = {value: code for code, value in enumerate(values)}
                 codes = list(map(code_of.get, cells, repeat(len(values))))
             packed = bytes(codes) if len(values) < 256 else codes
-            if strict and len(values) in packed:
-                raise DomainValueError(name, cells[packed.index(len(values))])
+            if len(values) in packed:
+                if strict:
+                    raise DomainValueError(name, cells[packed.index(len(values))])
+                self.has_unbinnable = True
             self.code_columns[name] = (packed, values)
         self._row_bitmaps = _BitmapSet(self, None)
         #: ranking object -> RankCache; weakly keyed (rankings have identity

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, overload, runtime_checkable
 
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
@@ -59,13 +59,110 @@ class ReturnedTuple:
         """Raw displayed value of ``attribute``."""
         return self.values[attribute]
 
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serialisable form, shared by the wire codec and checkpoints."""
+        return {
+            "tuple_id": self.tuple_id,
+            "values": dict(self.values),
+            "selectable_values": dict(self.selectable_values),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ReturnedTuple":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            tuple_id=int(payload["tuple_id"]),
+            values=dict(payload["values"]),
+            selectable_values=dict(payload["selectable_values"]),
+        )
+
+
+class ResultPage(Sequence[ReturnedTuple]):
+    """The listed tuples of one result page, rendered on first read.
+
+    A drill-down walk reads only the length of an overflowing page and draws
+    one tuple from a valid one, so the page holds its tuple ids and a
+    ``render(tuple_id)`` callable and builds each :class:`ReturnedTuple` the
+    first time its position is read.  ``len()`` and ``bool()`` render
+    nothing; ``page[i]`` renders tuple ``i`` only; iterating renders the
+    rest in one pass and from then on reads one cached plain tuple.  Slices
+    return plain tuples.
+
+    A page equals a ``tuple`` of equal tuples (in both directions) and any
+    page with equal contents, never a ``list``; like a tuple of
+    :class:`ReturnedTuple`\\ s it is unhashable.  Two threads reading the same
+    unrendered position at once may both render it; the results are equal,
+    and one of them is kept.
+    """
+
+    __slots__ = ("_ids", "_render", "_rendered", "_all")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, tuple_ids: Sequence[int], render: Callable[[int], ReturnedTuple]) -> None:
+        self._ids = tuple(tuple_ids)
+        self._render = render
+        self._rendered: dict[int, ReturnedTuple] = {}
+        self._all: tuple[ReturnedTuple, ...] | None = None
+
+    @property
+    def tuple_ids(self) -> tuple[int, ...]:
+        """The listed tuple ids in page order, read without rendering."""
+        return self._ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    @overload
+    def __getitem__(self, index: int) -> ReturnedTuple: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[ReturnedTuple, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> ReturnedTuple | tuple[ReturnedTuple, ...]:
+        if self._all is not None:
+            return self._all[index]
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self._ids))[index]))
+        position = range(len(self._ids))[index]
+        returned = self._rendered.get(position)
+        if returned is None:
+            returned = self._rendered[position] = self._render(self._ids[position])
+        return returned
+
+    def _materialise(self) -> tuple[ReturnedTuple, ...]:
+        rendered = self._all
+        if rendered is None:
+            if self._rendered:
+                rendered = tuple(map(self.__getitem__, range(len(self._ids))))
+            else:
+                rendered = tuple(map(self._render, self._ids))
+            self._all = rendered
+        return rendered
+
+    def __iter__(self) -> Iterator[ReturnedTuple]:
+        return iter(self._materialise())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ResultPage):
+            return self._ids == other._ids and self._materialise() == other._materialise()
+        if isinstance(other, tuple):
+            return self._materialise() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ResultPage(tuple_ids={self._ids!r})"
+
 
 @dataclass(frozen=True)
 class InterfaceResponse:
-    """Everything a client learns from submitting one query."""
+    """Everything a client learns from submitting one query.
+
+    ``tuples`` is a plain tuple or a lazily rendered :class:`ResultPage`;
+    either way it is an immutable sequence of :class:`ReturnedTuple`\\ s.
+    """
 
     query: ConjunctiveQuery
-    tuples: tuple[ReturnedTuple, ...]
+    tuples: Sequence[ReturnedTuple]
     overflow: bool
     reported_count: int | None
     k: int

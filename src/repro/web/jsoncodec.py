@@ -102,14 +102,7 @@ def response_to_dict(response: InterfaceResponse) -> dict:
     return {
         "version": WIRE_VERSION,
         "query": response.query.assignment(),
-        "tuples": [
-            {
-                "tuple_id": t.tuple_id,
-                "values": dict(t.values),
-                "selectable_values": dict(t.selectable_values),
-            }
-            for t in response.tuples
-        ],
+        "tuples": [t.to_dict() for t in response.tuples],
         "overflow": response.overflow,
         "reported_count": response.reported_count,
         "k": response.k,
@@ -124,18 +117,10 @@ def response_from_dict(schema: Schema, payload: Mapping) -> InterfaceResponse:
             f"remote backend speaks wire version {version!r}, this client speaks {WIRE_VERSION}"
         )
     query = ConjunctiveQuery.from_assignment(schema, payload["query"])
-    tuples = tuple(
-        ReturnedTuple(
-            tuple_id=int(entry["tuple_id"]),
-            values=dict(entry["values"]),
-            selectable_values=dict(entry["selectable_values"]),
-        )
-        for entry in payload["tuples"]
-    )
     reported = payload["reported_count"]
     return InterfaceResponse(
         query=query,
-        tuples=tuples,
+        tuples=tuple(map(ReturnedTuple.from_dict, payload["tuples"])),
         overflow=bool(payload["overflow"]),
         reported_count=int(reported) if reported is not None else None,
         k=int(payload["k"]),

@@ -15,7 +15,7 @@ from repro.algorithms.acceptance_rejection import (
 from repro.algorithms.base import Candidate, WalkTrace
 from repro.analytics.histogram import Histogram
 from repro.analytics.skew import kl_divergence, total_variation_distance
-from repro.backends.adapters import QueryEngineBackend
+from repro.backends.adapters import QueryEngineBackend, build_returned_tuple
 from repro.backends.shard import ShardRouter
 from repro.core.history import QueryHistoryCache
 from repro.database.engine import QueryEngine
@@ -277,6 +277,40 @@ class TestIndexedScanEquivalence:
                 assert indexed.count(query) == scan.count(query)
                 assert indexed.matching_row_ids(query) == scan.matching_row_ids(query)
                 assert router.submit(query) == oracle.submit(query)
+
+    @given(
+        data=schema_and_table(),
+        k=st.integers(min_value=1, max_value=12),
+        n_shards=st.integers(min_value=1, max_value=5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_pages_equal_eager_and_scan_pages(self, data, k, n_shards, seed):
+        """Lazily rendered pages (flat and sharded, read whole or one
+        position first) equal the eagerly built tuples and the scan
+        engine's page."""
+        schema, table = data
+        queries = [ConjunctiveQuery.empty(schema)]
+        queries += _random_query_sequence(schema, random.Random(seed), 4)
+        for ranking in _rankings():
+            engine = QueryEngine(table, k=k, ranking=ranking)
+            lazy = QueryEngineBackend(table, k, ranking=ranking, display_columns=("score",))
+            scan = QueryEngineBackend(
+                table, k, ranking=ranking, display_columns=("score",), use_index=False
+            )
+            router = ShardRouter.over_table(
+                table, n_shards, k=k, ranking=ranking, display_columns=("score",)
+            )
+            for query in queries:
+                eager = tuple(
+                    build_returned_tuple(table, row_id, ("score",))
+                    for row_id in engine.execute(query).returned_row_ids
+                )
+                flat, sharded = lazy.submit(query).tuples, router.submit(query).tuples
+                if sharded:
+                    assert sharded[-1] == eager[-1]
+                assert tuple(flat) == eager == tuple(scan.submit(query).tuples)
+                assert tuple(sharded) == eager
 
     @given(
         data=table_and_query(),
