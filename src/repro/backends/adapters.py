@@ -64,7 +64,9 @@ def render_page(
     renders its pages at once, so a bad row fails the submit that lists it
     rather than whoever reads the page first.
     """
-    page = ResultPage(row_ids, partial(build_returned_tuple, table, display_columns=display_columns))
+    page = ResultPage(
+        row_ids, partial(build_returned_tuple, table, display_columns=display_columns), table.index
+    )
     if table.index.has_unbinnable:
         tuple(page)
     return page

@@ -36,7 +36,11 @@ canonical query simultaneously, exactly one issues it to the inner backend —
 the rest wait and replay the cached answer (the cache never double-pays a
 round-trip for the same bytes).  One deliberate exception: a *bounded* cache
 (``max_entries``) collapses to a single stripe, preserving the exact global
-oldest-first eviction order of the serial implementation.
+oldest-first eviction order of the serial implementation.  The subsumption
+index (below) sits behind one more lock, which is only ever taken while a
+stripe lock is held or on its own — never the other way round — and is
+updated in the same stripe-lock hold as the stripe's responses, so a probe
+never returns an entry that has already been evicted.
 
 Batch submissions (:meth:`HistoryLayer.submit_many`) answer every hit and
 inferable item locally, deduplicate repeated canonical keys *within* the
@@ -45,17 +49,20 @@ inner ``submit_many`` when the inner backend has a batch path (e.g. the wire
 batch of :class:`~repro.backends.remote.RemoteBackend`), so a warm history
 over a remote endpoint pays one small POST instead of many GETs.
 
-Complexity contract: a subsuming ancestor's canonical key is, by definition,
-a subset of the query's canonical key, so the default ``inference="indexed"``
-mode answers a submission by enumerating the ≤ 2^|q| predicate subsets of the
-query (|q| is bounded by the schema width, 4–6 in this repo) and probing the
-empty-key/valid-key dictionaries directly — O(2^|q|) dict probes, independent
-of history size — instead of the O(history) linear subsumption scan of
-``inference="scan"`` (kept as the property-test oracle; the indexed mode also
-falls back to scanning automatically while the history is still smaller than
-the subset count, and for very wide queries).  Bookkeeping uses insertion-
-ordered dicts throughout, so remembering and evicting an entry are O(1) per
-stripe.
+Complexity contract: every valid or empty answer is also filed in one
+*subsumption index*, ``canonical key → response``.  A subsuming ancestor's
+canonical key is a subset of the query's (sorted) canonical key, so the
+default ``inference="indexed"`` mode answers a submission with one probe: the
+≤ 2^|q| subsets, generated by :func:`itertools.combinations` and looked up by
+C-level ``map``/``filter`` (|q| is bounded by the schema width, 4–6 in this
+repo) — O(2^|q|) dict probes, independent of history size.
+``inference="scan"`` instead tests every indexed entry for subsumption,
+O(history); it is the property-test oracle, and queries wider than 20
+predicates always use it.  A valid ancestor's answer is narrowed to the
+query on tuple ids (:meth:`~repro.database.interface.ResultPage.narrow`), so
+an inferred answer renders nothing until a sampler reads it.  Bookkeeping
+uses insertion-ordered dicts throughout, so remembering and evicting an
+entry are O(1).
 """
 
 from __future__ import annotations
@@ -63,9 +70,10 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, replace
+from itertools import chain, combinations, repeat
 from typing import Sequence
 
-from repro.database.interface import HiddenDatabase, InterfaceResponse, ReturnedTuple
+from repro.database.interface import HiddenDatabase, InterfaceResponse, ResultPage, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
 from repro.exceptions import ConfigurationError
@@ -119,14 +127,12 @@ class HistoryStatistics:
 class _Stripe:
     """One shard of the canonical-key space: its own dicts, its own lock."""
 
-    __slots__ = ("lock", "responses", "valid_keys", "empty_keys", "in_flight")
+    __slots__ = ("lock", "responses", "in_flight")
 
     #: Machine-checked by reprolint R1 (guarded-state): every dict of the
     #: stripe is only touched while that same stripe's ``lock`` is held.
     _guarded_by = {
         "responses": "lock",
-        "valid_keys": "lock",
-        "empty_keys": "lock",
         "in_flight": "lock",
     }
 
@@ -134,12 +140,6 @@ class _Stripe:
         self.lock = threading.Lock()
         #: key -> cached response, in insertion order (O(1) oldest eviction).
         self.responses: dict[tuple, InterfaceResponse] = {}
-        #: Canonical keys of valid (non-overflowing, non-empty) responses, the
-        #: only ones usable for subset inference.  Dicts-as-ordered-sets: O(1)
-        #: add/discard with deterministic (insertion) iteration order.
-        self.valid_keys: dict[tuple, None] = {}
-        #: Canonical keys of empty responses, usable for emptiness inference.
-        self.empty_keys: dict[tuple, None] = {}
         #: key -> event of the thread currently issuing that key.
         self.in_flight: dict[tuple, threading.Event] = {}
 
@@ -148,9 +148,10 @@ class HistoryLayer:
     """A caching / inferring middleware layer over any hidden-database backend.
 
     ``inference`` selects how subsuming ancestors are found: ``"indexed"``
-    (default) probes the key dictionaries with the ≤ 2^|q| predicate subsets
-    of the submitted query; ``"scan"`` linearly scans the history, serving as
-    the equivalence oracle.  Both modes return identical responses.
+    (default) probes the subsumption index with the ≤ 2^|q| predicate
+    subsets of the submitted query; ``"scan"`` linearly scans the index,
+    serving as the equivalence oracle.  Both modes return identical
+    responses.
 
     ``stripes`` bounds the lock striping (see the module docstring); a cache
     bounded by ``max_entries`` always uses one stripe so eviction order stays
@@ -161,14 +162,15 @@ class HistoryLayer:
     alias.)
     """
 
-    #: Queries wider than this fall back to the linear scan even in indexed
-    #: mode — 2^|q| subset enumeration stops paying off long before that.
+    #: Queries wider than this are scanned even in indexed mode — 2^|q|
+    #: subset enumeration stops paying off long before that.
     _MAX_SUBSET_PREDICATES = 20
 
     #: Machine-checked by reprolint R1 (guarded-state): the savings counters
-    #: are only mutated under the dedicated statistics lock (stripe dicts are
-    #: declared on :class:`_Stripe` itself).
-    _guarded_by = {"statistics": "_stats_lock"}
+    #: are only mutated under the dedicated statistics lock, the subsumption
+    #: index under its own lock (stripe dicts are declared on
+    #: :class:`_Stripe` itself).
+    _guarded_by = {"statistics": "_stats_lock", "_index": "_index_lock"}
 
     def __init__(
         self,
@@ -194,6 +196,11 @@ class HistoryLayer:
             # checkpoint/test configuration, not the concurrent hot path.
             stripes = 1
         self._stripe_list = tuple(_Stripe() for _ in range(stripes))
+        #: The subsumption index: canonical key -> every cached valid or
+        #: empty response (the only ones inference can use).  Taken only
+        #: inside a stripe lock or alone, never around one (reprolint R5).
+        self._index_lock = threading.Lock()
+        self._index: dict[tuple, InterfaceResponse] = {}
         #: Statistics update under their own lock so counter maintenance never
         #: contends with (or deadlocks against) stripe bookkeeping.  The lock
         #: is global — every submission touches it twice — but each critical
@@ -446,114 +453,73 @@ class HistoryLayer:
     # -- inference ---------------------------------------------------------------------
 
     def _infer(self, query: ConjunctiveQuery) -> InterfaceResponse | None:
-        ancestor = self._find_subsuming(query, "empty_keys")
-        if ancestor is not None:
-            # Emptiness: a cached empty query subsuming this one proves this
-            # one is empty as well.
-            return InterfaceResponse(
-                query=query,
-                tuples=(),
-                overflow=False,
-                reported_count=0 if ancestor.reported_count is not None else None,
-                k=self.k,
-            )
-        ancestor = self._find_subsuming(query, "valid_keys")
-        if ancestor is not None:
-            # Subset inference: a cached valid query returned *all* of its
-            # matches, so a specialisation's answer is the filtered subset.
-            tuples = tuple(t for t in ancestor.tuples if self._tuple_matches(query, t))
-            return InterfaceResponse(
-                query=query,
-                tuples=tuples,
-                overflow=False,
-                reported_count=len(tuples) if ancestor.reported_count is not None else None,
-                k=self.k,
-            )
-        return None
-
-    def _find_subsuming(
-        self, query: ConjunctiveQuery, index_name: str
-    ) -> InterfaceResponse | None:
-        """A cached response from the named key index subsuming ``query``.
-
-        Any subsuming ancestor yields the same inferred answer (an empty
-        ancestor proves emptiness outright; a valid ancestor holds the
-        complete result set, whose filtered-by-``query`` subset is the same
-        rows in the same rank order whichever ancestor is used), so the two
-        lookup strategies — and the stripe visit order — are interchangeable.
-        """
-        # Unlocked size probe: the count only steers the strategy choice, and
-        # either strategy is correct.
-        total_keys = sum(len(getattr(stripe, index_name)) for stripe in self._stripe_list)
-        if total_keys == 0:
+        ancestor = self._find_subsuming(query)
+        if ancestor is None:
             return None
-        key = query.canonical_key()
-        n_predicates = len(key)
-        # Subset enumeration costs 2^|q| probes regardless of history size;
-        # scanning costs one subsumption check per stored key.  Pick whichever
-        # is cheaper, and always scan when asked to (the oracle mode).
-        use_scan = (
-            self._inference == "scan"
-            or n_predicates > self._MAX_SUBSET_PREDICATES
-            or total_keys < (1 << n_predicates)
+        # A cached valid ancestor returned *all* of its matches, so this
+        # specialisation's answer is the subset matching the extra
+        # predicates; an empty ancestor proves this query empty too.
+        tuples = ancestor.tuples
+        if isinstance(tuples, ResultPage):
+            tuples = tuples.narrow(query)
+        else:
+            tuples = tuple(returned for returned in tuples if returned.matches(query))
+        return InterfaceResponse(
+            query=query,
+            tuples=tuples,
+            overflow=False,
+            reported_count=len(tuples) if ancestor.reported_count is not None else None,
+            k=self.k,
         )
-        if use_scan:
-            for stripe in self._stripe_list:
-                with stripe.lock:
-                    for cached_key in getattr(stripe, index_name):
-                        cached = stripe.responses[cached_key]
-                        if cached.query.subsumes(query):
-                            return cached
-            return None
-        for mask in range(1 << n_predicates):
-            subset = tuple(key[i] for i in range(n_predicates) if mask >> i & 1)
-            stripe = self._stripe_for(subset)
-            with stripe.lock:
-                if subset in getattr(stripe, index_name):
-                    return stripe.responses[subset]
-        return None
 
-    @staticmethod
-    def _tuple_matches(query: ConjunctiveQuery, returned: ReturnedTuple) -> bool:
-        for predicate in query.predicates:
-            if returned.selectable_values.get(predicate.attribute) != predicate.value:
-                return False
-        return True
+    def _find_subsuming(self, query: ConjunctiveQuery) -> InterfaceResponse | None:
+        """A cached valid or empty response whose query subsumes ``query``.
+
+        Any subsuming ancestor yields the same inferred answer: an empty one
+        proves emptiness outright, and a valid one holds its complete result
+        set, whose subset matching ``query`` is the same rows in the same
+        rank order whichever ancestor is used.  If an empty and a valid
+        ancestor both subsume ``query``, it has no matches and both give the
+        empty answer — so one pass serves both kinds, in any order.
+        """
+        key = query.canonical_key()
+        with self._index_lock:
+            if self._inference == "indexed" and len(key) <= self._MAX_SUBSET_PREDICATES:
+                subsets = chain.from_iterable(map(combinations, repeat(key), range(len(key) + 1)))
+                # Responses are always truthy, so only misses are filtered out.
+                return next(filter(None, map(self._index.get, subsets)), None)
+            for cached in self._index.values():
+                if cached.query.subsumes(query):
+                    return cached
+        return None
 
     # -- cache maintenance ----------------------------------------------------------------
 
     def _remember(self, key: tuple, response: InterfaceResponse) -> None:
         stripe = self._stripe_for(key)
         with stripe.lock:
-            if key not in stripe.responses:
-                # Only a genuinely new key can push the cache over its limit;
-                # overwriting in place (e.g. re-importing a checkpoint) must
-                # not evict an unrelated entry.  max_entries forces a single
-                # stripe, so the stripe-local size IS the cache size and the
-                # evicted entry is the globally oldest one.
-                if self._max_entries is not None and len(stripe.responses) >= self._max_entries:
-                    self._evict_oldest_locked(stripe)
-            else:
-                # Reclassify cleanly on overwrite.
-                stripe.valid_keys.pop(key, None)
-                stripe.empty_keys.pop(key, None)
+            evicted = None
+            # Only a genuinely new key can push the cache over its limit;
+            # overwriting in place (e.g. re-importing a checkpoint) must not
+            # evict an unrelated entry.  max_entries forces a single stripe,
+            # so the stripe-local size IS the cache size and the evicted
+            # entry is the globally oldest one.
+            if (
+                self._max_entries is not None
+                and key not in stripe.responses
+                and len(stripe.responses) >= self._max_entries
+            ):
+                evicted = next(iter(stripe.responses))
+                del stripe.responses[evicted]
             stripe.responses[key] = response
-            if response.empty:
-                stripe.empty_keys[key] = None
-            elif not response.overflow:
-                stripe.valid_keys[key] = None
-
-    @staticmethod
-    def _evict_oldest_locked(stripe: _Stripe) -> None:
-        """Drop the stripe's least recently *inserted* entry — O(1) bookkeeping.
-
-        (The ``_locked`` suffix is the reprolint R1 convention: the caller
-        holds ``stripe.lock`` for the whole call.)
-        """
-        oldest_key = next(iter(stripe.responses))
-        del stripe.responses[oldest_key]
-        stripe.valid_keys.pop(oldest_key, None)
-        stripe.empty_keys.pop(oldest_key, None)
+            with self._index_lock:
+                if evicted is not None:
+                    self._index.pop(evicted, None)
+                # Reclassify cleanly on overwrite.
+                if response.empty or not response.overflow:
+                    self._index[key] = response
+                else:
+                    self._index.pop(key, None)
 
     def snapshot(self) -> HistoryStatistics:
         """A point-in-time copy of the savings counters, taken under the lock.
@@ -569,25 +535,20 @@ class HistoryLayer:
         """Forget every cached response (statistics are kept)."""
         for stripe in self._stripe_list:
             with stripe.lock:
+                with self._index_lock:
+                    for key in stripe.responses:
+                        self._index.pop(key, None)
                 stripe.responses.clear()
-                stripe.valid_keys.clear()
-                stripe.empty_keys.clear()
 
     def valid_keys(self) -> frozenset:
         """Snapshot of the canonical keys usable for subset inference."""
-        keys: list[tuple] = []
-        for stripe in self._stripe_list:
-            with stripe.lock:
-                keys.extend(stripe.valid_keys)
-        return frozenset(keys)
+        with self._index_lock:
+            return frozenset(key for key, cached in self._index.items() if not cached.empty)
 
     def empty_keys(self) -> frozenset:
         """Snapshot of the canonical keys usable for emptiness inference."""
-        keys: list[tuple] = []
-        for stripe in self._stripe_list:
-            with stripe.lock:
-                keys.extend(stripe.empty_keys)
-        return frozenset(keys)
+        with self._index_lock:
+            return frozenset(key for key, cached in self._index.items() if cached.empty)
 
     # -- serialisation (job checkpoints) ------------------------------------------------
 
@@ -605,10 +566,14 @@ class HistoryLayer:
             with stripe.lock:
                 responses = list(stripe.responses.values())
             for response in responses:
+                # Rendering every cached page to export it must not pin the
+                # rendered rows in the live cache.
+                tuples = response.tuples
+                rows = tuples.iter_uncached() if isinstance(tuples, ResultPage) else tuples
                 entries.append(
                     {
                         "query": response.query.assignment(),
-                        "tuples": [t.to_dict() for t in response.tuples],
+                        "tuples": [t.to_dict() for t in rows],
                         "overflow": response.overflow,
                         "reported_count": response.reported_count,
                     }

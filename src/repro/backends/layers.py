@@ -195,26 +195,29 @@ class CountModeLayer(BackendLayer):
         self._rng = resolve_rng(seed)
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        response = self.inner.submit(query)
-        return dataclasses.replace(response, reported_count=self._shape(response.reported_count))
+        return self._shaped(self.inner.submit(query))
 
     def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
         """Forward the batch and shape every reported count."""
-        return [
-            dataclasses.replace(response, reported_count=self._shape(response.reported_count))
-            for response in forward_many(self.inner, queries)
-        ]
+        return list(map(self._shaped, forward_many(self.inner, queries)))
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
         """Per-item outcomes, the answered ones count-shaped."""
         return [
-            outcome
-            if isinstance(outcome, Exception)
-            else dataclasses.replace(outcome, reported_count=self._shape(outcome.reported_count))
+            outcome if isinstance(outcome, Exception) else self._shaped(outcome)
             for outcome in forward_outcomes(self.inner, queries)
         ]
+
+    def _shaped(self, response: InterfaceResponse) -> InterfaceResponse:
+        """``response`` with its count shaped; the same object when unchanged."""
+        count = self._shape(response.reported_count)
+        if count == response.reported_count:
+            return response
+        return InterfaceResponse(
+            response.query, response.tuples, response.overflow, count, response.k
+        )
 
     def _shape(self, true_count: int | None) -> int | None:
         if self.mode is CountMode.NONE:

@@ -8,7 +8,9 @@ short-circuit known-empty/known-valid queries.  This module re-exports the
 layer under its historical name so existing imports keep working:
 
 ``QueryHistoryCache`` **is** ``HistoryLayer`` — same class, same behaviour,
-same ``inference="indexed"/"scan"`` modes and checkpoint serialisation.
+same checkpoint serialisation, and the same ``inference=`` switch: one probe
+of the subsumption index (``"indexed"``) or its linear-scan oracle
+(``"scan"``).
 """
 
 from __future__ import annotations

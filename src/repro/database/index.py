@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -212,6 +212,8 @@ class TableIndex:
         #: attribute -> (code per row, selectable value per code); a code equal
         #: to the number of values marks a cell outside the domain.
         self.code_columns: dict[str, tuple[Sequence[int], tuple[Value, ...]]] = {}
+        #: attribute -> {selectable value: its code}.
+        self._code_of: dict[str, dict[Value, int]] = {}
         #: Whether any cell is outside its domain (only possible on tables
         #: built with ``validate=False``); rendering such a row raises.
         self.has_unbinnable = False
@@ -239,6 +241,7 @@ class TableIndex:
                     raise DomainValueError(name, cells[packed.index(len(values))])
                 self.has_unbinnable = True
             self.code_columns[name] = (packed, values)
+            self._code_of[name] = {value: code for code, value in enumerate(values)}
         self._row_bitmaps = _BitmapSet(self, None)
         #: ranking object -> RankCache; weakly keyed (rankings have identity
         #: hash) so caches die with their ranking instead of accreting on the
@@ -268,6 +271,23 @@ class TableIndex:
                 raise DomainValueError(name, self._table[row_id][name])
             selectable[name] = values[code]
         return selectable
+
+    def narrow(self, row_ids: Sequence[int], query: "ConjunctiveQuery") -> list[int]:
+        """The ids of ``row_ids`` whose rows match ``query``, in the given order.
+
+        One C-level :func:`itertools.compress` pass over the code column per
+        predicate; a value outside the attribute's domain matches no row.
+        """
+        kept = list(row_ids)
+        for predicate in query.predicates:
+            if not kept:
+                break
+            code = self._code_of.get(predicate.attribute, {}).get(predicate.value)
+            if code is None:
+                return []
+            codes = self.code_columns[predicate.attribute][0]
+            kept = list(compress(kept, map(code.__eq__, map(codes.__getitem__, kept))))
+        return kept
 
     def posting_list(self, attribute_name: str, value: Value) -> list[int]:
         """Ascending row ids whose ``attribute_name`` encodes to ``value``."""

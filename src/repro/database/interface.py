@@ -23,13 +23,26 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, overload, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    overload,
+    runtime_checkable,
+)
 
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Schema, Value
 from repro.database.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.database.index import TableIndex
 
 
 class CountMode(enum.Enum):
@@ -58,6 +71,14 @@ class ReturnedTuple:
     def value(self, attribute: str) -> Value:
         """Raw displayed value of ``attribute``."""
         return self.values[attribute]
+
+    def matches(self, query: ConjunctiveQuery) -> bool:
+        """Whether the listed selectable values satisfy every predicate of ``query``."""
+        selectable = self.selectable_values
+        for predicate in query.predicates:
+            if selectable.get(predicate.attribute) != predicate.value:
+                return False
+        return True
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable form, shared by the wire codec and checkpoints."""
@@ -93,14 +114,24 @@ class ResultPage(Sequence[ReturnedTuple]):
     :class:`ReturnedTuple`\\ s it is unhashable.  Two threads reading the same
     unrendered position at once may both render it; the results are equal,
     and one of them is kept.
+
+    ``index`` is the :class:`~repro.database.index.TableIndex` of the table
+    the tuple ids are rows of, when there is one; :meth:`narrow` then picks
+    matching rows off its code columns without rendering any.
     """
 
-    __slots__ = ("_ids", "_render", "_rendered", "_all")
+    __slots__ = ("_ids", "_render", "_index", "_rendered", "_all")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, tuple_ids: Sequence[int], render: Callable[[int], ReturnedTuple]) -> None:
+    def __init__(
+        self,
+        tuple_ids: Sequence[int],
+        render: Callable[[int], ReturnedTuple],
+        index: "TableIndex | None" = None,
+    ) -> None:
         self._ids = tuple(tuple_ids)
         self._render = render
+        self._index = index
         self._rendered: dict[int, ReturnedTuple] = {}
         self._all: tuple[ReturnedTuple, ...] | None = None
 
@@ -108,6 +139,24 @@ class ResultPage(Sequence[ReturnedTuple]):
     def tuple_ids(self) -> tuple[int, ...]:
         """The listed tuple ids in page order, read without rendering."""
         return self._ids
+
+    def narrow(self, query: ConjunctiveQuery) -> "ResultPage":
+        """The sub-page of tuples matching ``query``, in page order, same renderer.
+
+        With an index nothing is rendered: the rows are picked off its code
+        columns.  Without one every tuple is rendered and tested with
+        :meth:`ReturnedTuple.matches`, and the sub-page keeps those renders.
+        """
+        if self._index is not None:
+            return ResultPage(self._index.narrow(self._ids, query), self._render, self._index)
+        kept = [
+            (tuple_id, returned)
+            for tuple_id, returned in zip(self._ids, self._materialise())
+            if returned.matches(query)
+        ]
+        page = ResultPage([tuple_id for tuple_id, _ in kept], self._render)
+        page._all = tuple(returned for _, returned in kept)
+        return page
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -141,6 +190,17 @@ class ResultPage(Sequence[ReturnedTuple]):
 
     def __iter__(self) -> Iterator[ReturnedTuple]:
         return iter(self._materialise())
+
+    def iter_uncached(self) -> Iterator[ReturnedTuple]:
+        """Iterate the tuples without keeping the renders on the page.
+
+        For a one-off read of every row of a page that lives on, such as a
+        history checkpoint export: a fully rendered page is read as is,
+        otherwise every tuple is rendered afresh and left to the caller.
+        """
+        if self._all is not None:
+            return iter(self._all)
+        return map(self._render, self._ids)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ResultPage):
@@ -190,9 +250,10 @@ class InterfaceStatistics:
 
     def record(self, response: InterfaceResponse) -> None:
         """Update the counters with one response."""
+        listed = len(response.tuples)
         self.queries_issued += 1
-        self.tuples_returned += len(response.tuples)
-        if response.empty:
+        self.tuples_returned += listed
+        if not listed:
             self.empty_results += 1
         elif response.overflow:
             self.overflow_results += 1

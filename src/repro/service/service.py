@@ -98,8 +98,9 @@ class SamplingService:
     own accounting and its checkpointable warm cache — snapshots export it,
     ``extend()`` reuses it — while the backend-level shared layer is where
     jobs profit from each other.  The duplication costs memory proportional
-    to one job's unique responses and an O(2^|q|) inference probe per
-    per-job miss; answers are identical with either layer alone.  Jobs that
+    to one job's unique responses and one subsumption-index probe (at most
+    2^|q| dict lookups, none of which renders a row) per per-job miss;
+    answers are identical with either layer alone.  Jobs that
     *disable* history bypass both (see :meth:`submit`).
     """
 

@@ -164,3 +164,75 @@ class TestCacheMaintenance:
         assert cached.schema == tiny_interface.schema
         assert cached.k == tiny_interface.k
         assert cached.inner is tiny_interface
+
+
+def _assert_index_matches_cache(cached):
+    """The subsumption index holds exactly the cached valid and empty answers."""
+    responses = {
+        key: response
+        for stripe in cached._stripe_list
+        for key, response in stripe.responses.items()
+    }
+    usable = {key for key, response in responses.items() if response.empty or not response.overflow}
+    assert set(cached._index) == usable
+    assert all(cached._index[key] is responses[key] for key in usable)
+    assert cached.valid_keys() == {key for key in usable if responses[key].valid}
+    assert cached.empty_keys() == {key for key in usable if responses[key].empty}
+
+
+class TestSubsumptionIndex:
+    def test_an_evicted_empty_key_no_longer_feeds_inference(self, tiny_interface, tiny_schema):
+        cached = QueryHistoryCache(tiny_interface, max_entries=2)
+        empty = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"})
+        cached.submit(empty)
+        cached.submit(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"}))
+        _assert_index_matches_cache(cached)
+        cached.submit(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"}))
+        assert empty.canonical_key() not in cached.empty_keys()
+        _assert_index_matches_cache(cached)
+        issued = tiny_interface.statistics.queries_issued
+        cached.submit(empty.specialise("color", "blue"))
+        assert tiny_interface.statistics.queries_issued == issued + 1
+        assert cached.last_source is CachedResponseSource.INTERFACE
+
+    def test_a_key_reimported_as_overflowing_no_longer_feeds_inference(
+        self, tiny_interface, tiny_schema
+    ):
+        cached = QueryHistoryCache(tiny_interface, max_entries=4)
+        valid = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
+        cached.submit(valid)
+        assert valid.canonical_key() in cached.valid_keys()
+        (entry,) = cached.export_entries()
+        assert cached.import_entries([dict(entry, overflow=True)]) == 1
+        assert len(cached) == 1
+        assert valid.canonical_key() not in cached.valid_keys()
+        _assert_index_matches_cache(cached)
+        issued = tiny_interface.statistics.queries_issued
+        cached.submit(valid.specialise("color", "red"))
+        assert tiny_interface.statistics.queries_issued == issued + 1
+        assert cached.last_source is CachedResponseSource.INTERFACE
+
+    @pytest.mark.parametrize("max_entries", [None, 1, 3])
+    def test_index_tracks_the_cache_through_a_mixed_workload(
+        self, tiny_table, tiny_schema, max_entries
+    ):
+        cached = QueryHistoryCache(
+            HiddenDatabaseInterface(tiny_table, k=2, seed=0), max_entries=max_entries
+        )
+        queries = [
+            ConjunctiveQuery.empty(tiny_schema),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"}),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"}),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "color": "red"}),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"}),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford", "color": "blue"}),
+            ConjunctiveQuery.from_assignment(tiny_schema, {"color": "red", "price": "0-10000"}),
+        ]
+        for query in queries + queries[::-1]:
+            cached.submit(query)
+            _assert_index_matches_cache(cached)
+        cached.import_entries(cached.export_entries())
+        _assert_index_matches_cache(cached)
+        cached.clear()
+        _assert_index_matches_cache(cached)
+        assert cached.valid_keys() == cached.empty_keys() == frozenset()

@@ -95,6 +95,36 @@ class TestTableIndex:
         assert sum(masks) == (1 << 600) - 1
         assert masks[256].bit_count() == 2
 
+    def test_narrow_keeps_the_matching_ids_in_the_given_order(self, tiny_table, tiny_schema):
+        index = tiny_table.index
+        ids = [7, 2, 5, 0, 6, 3]
+        for assignment in (
+            {},
+            {"color": "red"},
+            {"make": "Toyota", "price": "0-10000"},
+            {"make": "Honda", "price": "0-10000"},
+        ):
+            query = ConjunctiveQuery.from_assignment(tiny_schema, assignment)
+            expected = [row_id for row_id in ids if query.matches(tiny_table[row_id])]
+            assert index.narrow(ids, query) == expected
+        assert index.narrow([], ConjunctiveQuery.empty(tiny_schema)) == []
+
+    def test_narrow_over_a_wide_domain_and_out_of_bucket_rows(self, tiny_schema):
+        schema = Schema([Attribute("code", Domain.categorical(tuple(range(300))))])
+        table = Table(schema, [{"code": row_id % 300} for row_id in range(600)])
+        query = ConjunctiveQuery.from_assignment(schema, {"code": 259})
+        assert table.index.narrow(range(600)[::-1], query) == [559, 259]
+        unbinnable = Table(
+            tiny_schema,
+            [
+                {"make": "Ford", "color": "red", "price": 999_999.0},
+                {"make": "Ford", "color": "red", "price": 5_000.0},
+            ],
+            validate=False,
+        )
+        price = ConjunctiveQuery.from_assignment(tiny_schema, {"price": "0-10000"})
+        assert unbinnable.index.narrow([0, 1], price) == [1]
+
     def test_rank_cache_is_memoised_per_ranking_instance(self, tiny_table):
         index = tiny_table.index
         ranking = StaticScoreRanking()

@@ -10,11 +10,12 @@ import pytest
 from repro.algorithms.random_walk import RandomWalkSampler
 from repro.backends import adapters
 from repro.backends.adapters import QueryEngineBackend
-from repro.backends.history import HistoryLayer
+from repro.backends.history import CachedResponseSource, HistoryLayer
 from repro.backends.shard import ShardRouter, TableShardBackend
 from repro.backends.stack import engine_stack
 from repro.database.interface import ResultPage, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
+from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
 from repro.exceptions import DomainValueError
 
@@ -152,6 +153,36 @@ class TestResultPage:
             page.extra = 1
 
 
+    def test_narrow_without_an_index_filters_rendered_rows_once(self):
+        schema = Schema([Attribute("a", Domain.categorical(("v3", "v5", "v8")))])
+        render = _CountingRender()
+        page = ResultPage([5, 3, 8], render)
+        narrowed = page.narrow(ConjunctiveQuery.from_assignment(schema, {"a": "v3"}))
+        assert isinstance(narrowed, ResultPage)
+        assert narrowed.tuple_ids == (3,) and narrowed == (_returned(3),)
+        assert narrowed.narrow(ConjunctiveQuery.from_assignment(schema, {"a": "v5"})) == ()
+        assert sorted(render.rendered) == [3, 5, 8]
+
+    def test_narrow_with_an_index_renders_nothing(self, tiny_table, tiny_schema):
+        render = _CountingRender()
+        page = ResultPage([6, 0, 5, 2], render, tiny_table.index)
+        narrowed = page.narrow(ConjunctiveQuery.from_assignment(tiny_schema, {"color": "red"}))
+        assert narrowed.tuple_ids == (6, 0, 2)
+        assert render.rendered == []
+        assert narrowed[0] == _returned(6)
+        assert render.rendered == [6]
+
+    def test_iter_uncached_leaves_the_page_unrendered(self):
+        render = _CountingRender()
+        page = ResultPage([5, 3], render)
+        assert list(page.iter_uncached()) == [_returned(5), _returned(3)]
+        assert list(page.iter_uncached()) == [_returned(5), _returned(3)]
+        assert render.rendered == [5, 3, 5, 3]
+        assert tuple(page) == (_returned(5), _returned(3))
+        assert list(page.iter_uncached()) == [_returned(5), _returned(3)]
+        assert render.rendered == [5, 3, 5, 3, 5, 3]
+
+
 class TestReturnedTupleCodec:
     def test_dict_round_trip(self):
         returned = _returned(4)
@@ -221,7 +252,8 @@ class TestLaziness:
     def test_a_walk_renders_at_most_one_tuple_per_valid_page(
         self, count_renders, boolean_table
     ):
-        # No history layer: its subset inference reads whole valid pages.
+        # No history layer: an exact hit replays a page a walk has already
+        # drawn from, so that draw renders nothing.
         sampler = RandomWalkSampler(engine_stack(boolean_table, 5), seed=3)
         drawn_pages = 0
         for _ in range(40):
@@ -233,6 +265,19 @@ class TestLaziness:
                 drawn_pages += 1
                 assert count_renders[before:] == [candidate.tuple_id]
         assert drawn_pages > 0
+
+    def test_inferring_from_a_valid_ancestor_renders_nothing(
+        self, count_renders, tiny_table, tiny_schema
+    ):
+        stack = engine_stack(tiny_table, 5, history=True)
+        ancestor = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"})
+        assert stack.submit(ancestor).valid
+        inferred = stack.submit(ancestor.specialise("color", "red"))
+        assert stack.history.last_source is CachedResponseSource.INFERRED
+        assert len(inferred.tuples) == 2 and not inferred.overflow
+        assert count_renders == []
+        assert [t.tuple_id for t in inferred.tuples] == [0, 2]
+        assert count_renders == [0, 2]
 
     def test_shard_merge_renders_only_the_rows_it_keeps(self, count_renders, boolean_table):
         router = ShardRouter.over_table(boolean_table, 4, k=10)

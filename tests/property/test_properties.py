@@ -17,9 +17,10 @@ from repro.analytics.histogram import Histogram
 from repro.analytics.skew import kl_divergence, total_variation_distance
 from repro.backends.adapters import QueryEngineBackend, build_returned_tuple
 from repro.backends.shard import ShardRouter
+from repro.backends.stack import engine_stack
 from repro.core.history import QueryHistoryCache
 from repro.database.engine import QueryEngine
-from repro.database.interface import CountMode, HiddenDatabaseInterface
+from repro.database.interface import CountMode, HiddenDatabaseInterface, ResultPage
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
     AttributeWeightedRanking,
@@ -382,6 +383,48 @@ class TestHistoryProperties:
 
         stats = cached_interface.statistics
         assert stats.issued_to_interface + stats.saved == stats.submissions
+
+
+    @given(
+        data=schema_and_table(),
+        k=st.integers(min_value=1, max_value=8),
+        count_mode=st.sampled_from([CountMode.EXACT, CountMode.NONE]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_inferred_answers_equal_history_free_answers(self, data, k, count_mode, seed):
+        """Every answer the history layer infers, from a valid or an empty
+        ancestor, equals a history-free stack's page: the same tuples in
+        order, overflow flag and count.  Narrowing a page on tuple ids
+        equals filtering its rendered rows."""
+        schema, table = data
+        rng = random.Random(seed)
+        queries = _random_query_sequence(schema, rng, 6)
+        queries += [
+            query.specialise(attribute, rng.choice(schema.attribute(attribute).domain.values))
+            for query in queries
+            for attribute in query.free_attributes
+        ]
+        for ranking in _rankings():
+            cached = engine_stack(
+                table, k, ranking=ranking, count_mode=count_mode, display_columns=("score",),
+                history=True,
+            )
+            fresh = engine_stack(
+                table, k, ranking=ranking, count_mode=count_mode, display_columns=("score",)
+            )
+            history = cached.history
+            assert history is not None
+            for query in queries:
+                answer = cached.submit(query)
+                expected = fresh.submit(query)
+                assert tuple(answer.tuples) == tuple(expected.tuples)
+                assert answer.overflow == expected.overflow
+                assert answer.reported_count == expected.reported_count
+                page = expected.tuples
+                assert isinstance(page, ResultPage)
+                for narrower in queries[:8]:
+                    assert page.narrow(narrower) == tuple(t for t in page if t.matches(narrower))
 
 
 # --------------------------------------------------------------------------------------
