@@ -15,7 +15,6 @@ R3     exception-taxonomy  broad excepts are allowlisted or re-raise; layer
                            packages raise only :mod:`repro.exceptions` types
 R4     deterministic-rng   all randomness flows through ``repro/_rng.py``
 R5     lock-order          the static held-while-acquiring graph is acyclic
-R6     stack-composition   stack builders order layers innermost-first
 =====  ==================  =====================================================
 
 Suppress a single finding inline with ``# reprolint: disable=R1 — reason``.

@@ -83,7 +83,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="reprolint: AST checks for the repo's concurrency and "
-        "layering invariants (R1-R6).",
+        "layering invariants (R1-R5).",
     )
     parser.add_argument(
         "paths",

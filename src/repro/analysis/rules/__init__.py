@@ -10,8 +10,9 @@
 |    |                    | typed :mod:`repro.exceptions` cross layer boundaries |
 | R4 | deterministic-rng | no direct ``random.*`` calls outside ``repro/_rng.py`` |
 | R5 | lock-order | the static "held while acquiring" lock graph is acyclic |
-| R6 | stack-composition | builders keep retry below budget/statistics
-|    |                   | (the count-once-per-submission ordering) |
+
+Backend layer order is not a lint rule: :class:`repro.backends.stack.BackendStack`
+refuses an out-of-order composition when it is constructed.
 
 Each rule module documents its motivating bug class.  Fresh instances are
 created per run via :func:`all_rules` because rules may accumulate
@@ -26,7 +27,6 @@ from repro.analysis.rules.exception_taxonomy import ExceptionTaxonomyRule
 from repro.analysis.rules.guarded_state import GuardedStateRule
 from repro.analysis.rules.layer_contract import LayerContractRule
 from repro.analysis.rules.lock_order import LockOrderRule
-from repro.analysis.rules.stack_composition import StackCompositionRule
 
 __all__ = [
     "DeterministicRngRule",
@@ -34,7 +34,6 @@ __all__ = [
     "GuardedStateRule",
     "LayerContractRule",
     "LockOrderRule",
-    "StackCompositionRule",
     "all_rules",
 ]
 
@@ -47,5 +46,4 @@ def all_rules() -> list[Rule]:
         ExceptionTaxonomyRule(),
         DeterministicRngRule(),
         LockOrderRule(),
-        StackCompositionRule(),
     ]

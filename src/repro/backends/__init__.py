@@ -20,8 +20,10 @@ The package separates *what answers conjunctive queries* (raw backends) from
 * composition — :class:`~repro.backends.stack.BackendStack` with the curated
   builders :func:`~repro.backends.stack.engine_stack`,
   :func:`~repro.backends.stack.web_stack`,
-  :func:`~repro.backends.stack.sharded_stack` and
-  :func:`~repro.backends.stack.remote_stack`.
+  :func:`~repro.backends.stack.sharded_stack`,
+  :func:`~repro.backends.stack.remote_stack` (either transport) and
+  :func:`~repro.backends.stack.failover_stack`, which all place their layers
+  in one canonical order that :class:`BackendStack` checks at construction.
 
 ``HiddenDatabaseInterface`` and ``WebFormClient`` are now thin facades over
 these stacks; see ``docs/architecture.md`` for the full picture.
@@ -55,7 +57,6 @@ from repro.backends.resilience import (
 from repro.backends.shard import ShardRouter, TableShardBackend
 from repro.backends.stack import (
     BackendStack,
-    async_remote_stack,
     engine_stack,
     failover_stack,
     introspect,
@@ -92,7 +93,6 @@ __all__ = [
     "UnreliableLayer",
     "UnreliableStatistics",
     "WebPageBackend",
-    "async_remote_stack",
     "build_returned_tuple",
     "current_deadline",
     "deadline_scope",

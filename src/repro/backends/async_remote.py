@@ -20,7 +20,7 @@ Two usage shapes share one instance:
 * **Sync facade** — the ordinary raw-backend contract (``submit``,
   ``submit_many``, ``submit_outcomes``, ``health``), satisfied by driving a
   **private** event loop on a background daemon thread.  This is what lets
-  :func:`~repro.backends.stack.async_remote_stack` put the whole existing
+  ``remote_stack(url, transport=AsyncRemoteBackend)`` put the whole existing
   layer stack — breakers, retries, budgets, history, dispatch — above an
   async transport with zero changes to any layer, and what
   :class:`~repro.service.sampling.SamplingService` runs on unmodified.

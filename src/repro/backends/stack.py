@@ -2,52 +2,54 @@
 
 :class:`BackendStack` turns a raw backend plus a list of layer factories into
 one composed access path, keeps handles to every layer for introspection, and
-enforces the accounting invariant that a chain contains at most one
-:class:`~repro.backends.layers.StatisticsLayer` — the bug class where a
-wrapped client double-counted issued queries is now a construction error.
+enforces two accounting invariants at construction: a chain contains at most
+one :class:`~repro.backends.layers.StatisticsLayer` (a second counter
+double-counts every issued query), and the layers a stack builds appear in
+the canonical order of :data:`LAYER_ORDER` (a retry layer above the budget
+charges it once per attempt).
 
-Two builders encode the legacy access paths bit for bit:
+Every preset places its layers through one private ``_compose``:
 
 * :func:`engine_stack` — what :class:`HiddenDatabaseInterface` always was:
   ``StatisticsLayer(BudgetLayer(CountModeLayer(QueryEngineBackend)))``;
 * :func:`web_stack` — what :class:`WebFormClient` always was:
-  ``StatisticsLayer(WebPageBackend)``, optionally under a budget and a
-  history layer so the scraping path deduplicates page fetches.
+  ``StatisticsLayer(BudgetLayer(WebPageBackend))``, optionally under a
+  history layer so the scraping path deduplicates page fetches;
+* :func:`sharded_stack` — the engine layers over a
+  :class:`~repro.backends.shard.ShardRouter`, or with ``parallel=N`` over a
+  :class:`~repro.backends.dispatch.ConcurrentShardRouter` thread pool (same
+  bytes, overlapped round-trips);
+* :func:`remote_stack` — the usual layers plus a retrying
+  :class:`~repro.backends.layers.UnreliableLayer` over a
+  :mod:`repro.web.httpd` endpoint across a real socket, through the threaded
+  :class:`~repro.backends.remote.RemoteBackend` or, with
+  ``transport=AsyncRemoteBackend``, the event-loop client — the layers above
+  the transport are the same either way;
+* :func:`failover_stack` — the same layers over a health-checked
+  :class:`~repro.backends.resilience.FailoverRouter` of remote targets.
 
-Both accept ``history=True`` to slot a
-:class:`~repro.backends.history.HistoryLayer` on top, and the raw backend can
-be anything — including a :class:`~repro.backends.shard.ShardRouter`, which
-is how a sharded catalogue gets budgets, count modes and history in one line.
-
-Two more builders cover the scaled-out deployments: :func:`sharded_stack`
-accepts ``parallel=N`` to scatter sub-queries over a
-:class:`~repro.backends.dispatch.ConcurrentShardRouter` thread pool (same
-bytes, overlapped round-trips), and :func:`remote_stack` puts the usual
-layers — plus a retrying
-:class:`~repro.backends.layers.UnreliableLayer` — over a
-:class:`~repro.backends.remote.RemoteBackend` talking to a
-:mod:`repro.web.httpd` endpoint across a real socket.
-:func:`async_remote_stack` is the same composition over the event-loop
-transport (:class:`~repro.backends.async_remote.AsyncRemoteBackend` through
-its sync facade), so swapping a deployment between threaded and async
-serving never changes what the layers above it see.
+All accept ``history=True`` to slot a
+:class:`~repro.backends.history.HistoryLayer` on top.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend
 from repro.backends.base import RawBackend, iter_chain
+from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import BudgetLayer, CountModeLayer, StatisticsLayer, UnreliableLayer
+from repro.backends.remote import DEFAULT_POOL_SIZE, RemoteBackend
 from repro.backends.resilience import (
     CircuitBreakerLayer,
     CircuitBreakerPolicy,
     FailoverRouter,
     resilience_report,
 )
+from repro.backends.shard import ShardRouter
 from repro.database.interface import CountMode, InterfaceResponse, InterfaceStatistics
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
@@ -56,9 +58,41 @@ from repro.database.schema import Schema
 from repro.database.table import Table
 from repro.exceptions import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.backends.async_remote import AsyncRemoteBackend
+
 #: A layer factory: given the backend to wrap, return the wrapping layer.
 #: Layer classes whose remaining parameters all default qualify directly.
 LayerFactory = Callable[[RawBackend], RawBackend]
+
+#: Canonical position of each ranked layer, innermost (closest to the raw
+#: backend) first.  Retries sit below budget and statistics, so a submission
+#: that needed three attempts charges and counts once; the breaker sits below
+#: the retry layer, so every attempt is a real call its failure window sees
+#: and an open circuit's fast-fail passes through unretried.
+LAYER_ORDER: tuple[type, ...] = (
+    CountModeLayer,
+    CircuitBreakerLayer,
+    UnreliableLayer,
+    BudgetLayer,
+    StatisticsLayer,
+    HistoryLayer,
+    DispatchLayer,
+)
+
+
+def _rank(layer: RawBackend) -> int | None:
+    """``layer``'s index in :data:`LAYER_ORDER`, or ``None`` when unranked.
+
+    An :class:`UnreliableLayer` with ``max_retries == 0`` re-issues nothing:
+    it is a fault or latency source, not a retry layer, so it may sit anywhere.
+    """
+    if isinstance(layer, UnreliableLayer) and layer.max_retries == 0:
+        return None
+    for rank, layer_type in enumerate(LAYER_ORDER):
+        if isinstance(layer, layer_type):
+            return rank
+    return None
 
 
 class BackendStack:
@@ -66,9 +100,13 @@ class BackendStack:
 
     ``layers`` are factories applied bottom-up: ``BackendStack(raw, [a, b])``
     builds ``b(a(raw))``, so the *last* factory sees every submission first.
-    The stack itself satisfies the backend protocol, delegating to the
-    outermost layer, and exposes each layer by type through :meth:`layer`
-    plus convenience properties for the common ones.
+    The layers built here must follow :data:`LAYER_ORDER` (layers inside
+    ``raw`` are not checked) and the whole chain may hold at most one
+    :class:`StatisticsLayer`; either violation raises
+    :class:`~repro.exceptions.ConfigurationError`.  The stack itself
+    satisfies the backend protocol, delegating to the outermost layer, and
+    exposes each layer of the chain by type through :meth:`layer` plus
+    convenience properties for the common ones.
     """
 
     def __init__(self, raw: RawBackend, layers: Sequence[LayerFactory] = ()) -> None:
@@ -87,6 +125,15 @@ class BackendStack:
                 "counter double-counts every issued query; reuse the existing layer "
                 f"(found {len(counters)} in the chain)"
             )
+        ranked = [(rank, layer) for layer in built if (rank := _rank(layer)) is not None]
+        for (lower_rank, lower), (upper_rank, upper) in zip(ranked, ranked[1:]):
+            if upper_rank < lower_rank:
+                raise ConfigurationError(
+                    f"{type(upper).__name__} is composed above {type(lower).__name__}; "
+                    "layers must stack innermost-first as "
+                    + " < ".join(layer_type.__name__ for layer_type in LAYER_ORDER)
+                    + " (an UnreliableLayer with max_retries=0 is unranked)"
+                )
 
     # -- backend protocol ------------------------------------------------------
 
@@ -126,8 +173,12 @@ class BackendStack:
         return self._layers
 
     def layer(self, layer_type: type) -> object | None:
-        """The unique layer of ``layer_type`` in this stack, or ``None``."""
-        matches = [layer for layer in self._layers if isinstance(layer, layer_type)]
+        """The unique layer of ``layer_type`` in the chain, or ``None``.
+
+        Searches the whole chain, so a stack built over another stack's
+        ``top`` still reports the counters, budget and history beneath it.
+        """
+        matches = [layer for layer in iter_chain(self.top) if isinstance(layer, layer_type)]
         if not matches:
             return None
         if len(matches) > 1:
@@ -340,11 +391,6 @@ def sharded_stack(
     byte-identical (the property tests prove it), only the round-trips
     overlap.  ``parallel=1`` (or ``None``) keeps the serial router.
     """
-    from repro.backends.dispatch import ConcurrentShardRouter
-    from repro.backends.shard import ShardRouter
-
-    if parallel is not None and parallel < 1:
-        raise ConfigurationError("parallel must be at least 1 when given")
     if parallel is not None and parallel > 1:
         raw: RawBackend = ConcurrentShardRouter.over_table(
             table, n_shards, k, ranking=ranking, display_columns=display_columns,
@@ -363,6 +409,8 @@ def sharded_stack(
         history=history,
         max_history_entries=max_history_entries,
         statistics=statistics,
+        parallel=parallel,
+        dispatch=False,
     )
 
 
@@ -378,23 +426,28 @@ def remote_stack(
     timeout: float = 10.0,
     parallel: int | None = None,
     batch: int | None = None,
-    pool_size: int | None = None,
+    pool_size: int = DEFAULT_POOL_SIZE,
     breaker: CircuitBreakerPolicy | bool | None = None,
+    transport: type[RemoteBackend] | type[AsyncRemoteBackend] = RemoteBackend,
 ) -> BackendStack:
     """A remote HTTP endpoint behind the same layer stack as the local paths.
 
-    The raw backend is a :class:`~repro.backends.remote.RemoteBackend`
-    speaking JSON-over-HTTP to a :mod:`repro.web.httpd` endpoint over a
-    bounded pool of persistent keep-alive connections (``pool_size``; the
-    adapter's default when ``None``); the construction-time schema fetch
-    retries transient failures with the same ``max_retries``/``retry_backoff``
-    policy as submissions, so a server that is momentarily 503 does not kill
-    the stack.  Directly above the adapter sits a pure-retry
-    :class:`~repro.backends.layers.UnreliableLayer` (no injection) so real
-    429s and 5xxs self-heal with exponential backoff — set ``max_retries=0``
-    to surface every network fault to the caller.  No count-mode layer: like
-    the scraping path, whatever count the server reports was already shaped
-    server-side.
+    The raw backend is a ``transport`` speaking JSON-over-HTTP to a
+    :mod:`repro.web.httpd` endpoint: the threaded
+    :class:`~repro.backends.remote.RemoteBackend` (default) over a bounded
+    pool of persistent keep-alive connections, or the event-loop
+    :class:`~repro.backends.async_remote.AsyncRemoteBackend` through its sync
+    facade, where ``pool_size`` bounds concurrent in-flight requests per
+    event loop instead.  The layers above are identical for both, and the
+    async equivalence tests hold the two transports together.  The
+    construction-time schema fetch retries transient failures with the same
+    ``max_retries``/``retry_backoff`` policy as submissions, so a server that
+    is momentarily 503 does not kill the stack.  Directly above the adapter
+    sits a pure-retry :class:`~repro.backends.layers.UnreliableLayer` (no
+    injection) so real 429s and 5xxs self-heal with exponential backoff — set
+    ``max_retries=0`` to surface every network fault to the caller.  No
+    count-mode layer: like the scraping path, whatever count the server
+    reports was already shaped server-side.
 
     ``batch=M`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on top
     that cuts every ``stack.submit_many(queries)`` into chunks of ``M``
@@ -423,24 +476,13 @@ def remote_stack(
     :class:`~repro.backends.resilience.CircuitBreakerPolicy`; pass a policy
     to tune the window; ``None`` (default) omits the layer.
     """
-    from repro.backends.remote import RemoteBackend
-
-    remote_kwargs: dict = {
-        "timeout": timeout,
-        "connect_retries": max_retries,
-        "connect_backoff": retry_backoff,
-    }
-    if pool_size is not None:
-        remote_kwargs["pool_size"] = pool_size
-    raw = RemoteBackend(url, **remote_kwargs)
-    inner_layers: list[LayerFactory] = []
-    if breaker:
-        policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
-        inner_layers.append(lambda inner: CircuitBreakerLayer(inner, policy=policy))
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
+    raw = transport(
+        url,
+        timeout=timeout,
+        pool_size=pool_size,
+        connect_retries=max_retries,
+        connect_backoff=retry_backoff,
     )
-    inner_layers.append(retry)
     return _compose(
         raw,
         count_mode=None,
@@ -450,71 +492,10 @@ def remote_stack(
         statistics=statistics,
         parallel=parallel,
         batch=batch,
-        inner_layers=tuple(inner_layers),
-    )
-
-
-def async_remote_stack(
-    url: str,
-    budget: QueryBudget | None = None,
-    history: bool = False,
-    max_history_entries: int | None = None,
-    statistics: bool = True,
-    max_retries: int = 3,
-    retry_backoff: float = 0.05,
-    max_backoff: float | None = 1.0,
-    timeout: float = 10.0,
-    parallel: int | None = None,
-    batch: int | None = None,
-    pool_size: int | None = None,
-    breaker: CircuitBreakerPolicy | bool | None = None,
-) -> BackendStack:
-    """:func:`remote_stack` over the event-loop transport — same layers, same
-    order, different wire engine.
-
-    The raw backend is an
-    :class:`~repro.backends.async_remote.AsyncRemoteBackend` driven through
-    its sync facade: every layer above it — the optional
-    :class:`~repro.backends.resilience.CircuitBreakerLayer`, the retrying
-    :class:`~repro.backends.layers.UnreliableLayer`, budget, statistics,
-    history and dispatch — is *exactly* the composition ``remote_stack``
-    builds (reprolint R6 checks both builders against the same layer-order
-    table), so a deployment can switch between the threaded and async
-    serving tiers by swapping one builder call.  ``pool_size`` here bounds
-    concurrent in-flight requests **per event loop** (requests beyond it
-    queue on the client, multiplexing over the persistent connections)
-    rather than kept-alive sockets; the deadline, retry and breaker
-    semantics are byte-identical across the two transports — the async
-    equivalence tests hold them together.
-    """
-    from repro.backends.async_remote import AsyncRemoteBackend
-
-    remote_kwargs: dict = {
-        "timeout": timeout,
-        "connect_retries": max_retries,
-        "connect_backoff": retry_backoff,
-    }
-    if pool_size is not None:
-        remote_kwargs["pool_size"] = pool_size
-    raw = AsyncRemoteBackend(url, **remote_kwargs)
-    inner_layers: list[LayerFactory] = []
-    if breaker:
-        policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
-        inner_layers.append(lambda inner: CircuitBreakerLayer(inner, policy=policy))
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
-    )
-    inner_layers.append(retry)
-    return _compose(
-        raw,
-        count_mode=None,
-        budget=budget,
-        history=history,
-        max_history_entries=max_history_entries,
-        statistics=statistics,
-        parallel=parallel,
-        batch=batch,
-        inner_layers=tuple(inner_layers),
+        breaker=breaker,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        max_backoff=max_backoff,
     )
 
 
@@ -530,7 +511,7 @@ def failover_stack(
     timeout: float = 10.0,
     parallel: int | None = None,
     batch: int | None = None,
-    pool_size: int | None = None,
+    pool_size: int = DEFAULT_POOL_SIZE,
     policy: CircuitBreakerPolicy | None = None,
 ) -> BackendStack:
     """Primary-plus-replicas behind the same layer stack as :func:`remote_stack`.
@@ -549,24 +530,20 @@ def failover_stack(
     charge/count each logical submission once no matter how many targets or
     attempts it took.
     """
-    from repro.backends.remote import RemoteBackend
-
     if not urls:
         raise ConfigurationError("failover_stack needs at least one URL")
-    remote_kwargs: dict = {
-        "timeout": timeout,
-        "connect_retries": max_retries,
-        "connect_backoff": retry_backoff,
-    }
-    if pool_size is not None:
-        remote_kwargs["pool_size"] = pool_size
-    targets = [RemoteBackend(url, **remote_kwargs) for url in urls]
-    raw = FailoverRouter(targets[0], targets[1:], policy=policy)
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
-    )
+    targets = [
+        RemoteBackend(
+            url,
+            timeout=timeout,
+            pool_size=pool_size,
+            connect_retries=max_retries,
+            connect_backoff=retry_backoff,
+        )
+        for url in urls
+    ]
     return _compose(
-        raw,
+        FailoverRouter(targets[0], targets[1:], policy=policy),
         count_mode=None,
         budget=budget,
         history=history,
@@ -574,7 +551,9 @@ def failover_stack(
         statistics=statistics,
         parallel=parallel,
         batch=batch,
-        inner_layers=(retry,),
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        max_backoff=max_backoff,
     )
 
 
@@ -589,16 +568,37 @@ def _compose(
     statistics: bool = True,
     parallel: int | None = None,
     batch: int | None = None,
-    inner_layers: Sequence[LayerFactory] = (),
+    dispatch: bool = True,
+    breaker: CircuitBreakerPolicy | bool | None = None,
+    max_retries: int | None = None,
+    retry_backoff: float = 0.05,
+    max_backoff: float | None = 1.0,
 ) -> BackendStack:
+    """Place every layer of a preset in :data:`LAYER_ORDER`, innermost first.
+
+    ``count_mode=None`` omits count shaping, a falsy ``breaker`` omits the
+    breaker, and ``max_retries=None`` omits the retry layer.  ``parallel``
+    or ``batch`` slot a dispatch layer on top unless ``dispatch=False`` (the
+    raw backend already fans out, as a sharded router does).
+    """
     if parallel is not None and parallel < 1:
         raise ConfigurationError("parallel must be at least 1 when given")
     if batch is not None and batch < 1:
         raise ConfigurationError("batch must be at least 1 when given")
-    layers: list[LayerFactory] = list(inner_layers)
+    layers: list[LayerFactory] = []
     if count_mode is not None:
         layers.append(
             lambda inner: CountModeLayer(inner, mode=count_mode, noise=count_noise, seed=seed)
+        )
+    if breaker:
+        policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
+        layers.append(lambda inner: CircuitBreakerLayer(inner, policy=policy))
+    if max_retries is not None:
+        layers.append(
+            lambda inner: UnreliableLayer(
+                inner, max_retries=max_retries, retry_backoff=retry_backoff,
+                max_backoff=max_backoff,
+            )
         )
     layers.append(lambda inner: BudgetLayer(inner, budget=budget))
     if statistics:
@@ -608,9 +608,7 @@ def _compose(
         # *under* the dispatch layer: concurrent batch fan-out and the §3.2
         # history optimisation compose (earlier revisions refused this).
         layers.append(lambda inner: HistoryLayer(inner, max_entries=max_history_entries))
-    if (parallel is not None and parallel > 1) or batch is not None:
-        from repro.backends.dispatch import DispatchLayer
-
+    if dispatch and ((parallel is not None and parallel > 1) or batch is not None):
         layers.append(
             lambda inner: DispatchLayer(
                 inner, max_workers=parallel if parallel is not None else 1, batch_size=batch

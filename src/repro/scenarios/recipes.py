@@ -2,16 +2,14 @@
 
 Every chaos run samples through a stack built *here*, from the same
 :mod:`repro.backends.stack` builders production uses — scenarios never
-hand-wire ad-hoc layer orders.  This module is named ``recipes.py`` on
-purpose: reprolint's R6 stack-composition rule checks composition modules
-by that name (alongside ``stack.py``), so a recipe that mentions layers
-out of canonical order — retry below the breaker, budget above statistics
-— fails lint before it ever misscores a scenario.
+hand-wire ad-hoc layer orders.  Every recipe returns a
+:class:`~repro.backends.stack.BackendStack`, which refuses layers out of
+canonical order — a retry layer under the breaker, statistics under the
+budget — when the recipe runs, before it can misscore a scenario.
 
-Faults that must originate *below* a breaker are therefore never expressed
-as an out-of-order ``UnreliableLayer``: they live in the raw backend (see
-:class:`~repro.scenarios.base.SwitchableRaw`), keeping every recipe here
-in checked order.
+Outages that must originate *below* a breaker live in the raw backend (see
+:class:`~repro.scenarios.base.SwitchableRaw`) rather than in a retrying
+``UnreliableLayer`` under the breaker, which the stack would refuse.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@
 sibling of the threaded ``RemoteBackend``: the sync facade satisfies the raw
 backend contract for every existing layer, the ambient deadline crosses the
 thread hop, breakers above the async transport open and fast-fail exactly as
-over the threaded one, and a full sampling run through an
-``async_remote_stack`` — batched, compressed, concurrent — reproduces the
-threaded run sample for sample on shared seeds.
+over the threaded one, and a full sampling run through
+``remote_stack(url, transport=AsyncRemoteBackend)`` — batched, compressed,
+concurrent — reproduces the threaded run sample for sample on shared seeds.
 """
 
 import asyncio
@@ -19,12 +19,11 @@ from repro.backends import (
     AsyncRemoteBackend,
     CircuitBreakerPolicy,
     Deadline,
-    DispatchLayer,
     RemoteBackend,
     UnreliableLayer,
-    async_remote_stack,
     deadline_scope,
     engine_stack,
+    remote_stack,
 )
 from repro.core.config import HDSamplerConfig
 from repro.database.interface import CountMode
@@ -206,19 +205,6 @@ class TestDeadlinesOverAsyncTransport:
 
 
 class TestAsyncRemoteStack:
-    def test_layer_order_matches_the_threaded_builder(self, server):
-        stack = async_remote_stack(server.url, history=True)
-        assert stack.describe() == (
-            "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer "
-            "→ AsyncRemoteBackend"
-        )
-        guarded = async_remote_stack(server.url, parallel=2, breaker=True)
-        assert guarded.describe() == (
-            "DispatchLayer → StatisticsLayer → BudgetLayer → UnreliableLayer "
-            "→ CircuitBreakerLayer → AsyncRemoteBackend"
-        )
-        assert isinstance(guarded.layer(DispatchLayer), DispatchLayer)
-
     def test_open_breaker_fast_fails_without_touching_the_wire(
         self, tiny_table, tiny_schema
     ):
@@ -232,8 +218,9 @@ class TestAsyncRemoteStack:
         )
         query = ConjunctiveQuery.empty(tiny_schema)
         with AsyncHiddenDatabaseHTTPServer(flaky) as endpoint:
-            stack = async_remote_stack(
+            stack = remote_stack(
                 endpoint.url,
+                transport=AsyncRemoteBackend,
                 max_retries=0,
                 breaker=CircuitBreakerPolicy(
                     window=4, failure_threshold=1, reset_timeout=60.0
@@ -259,7 +246,9 @@ class TestAsyncRemoteStack:
         )
         query = ConjunctiveQuery.empty(tiny_schema)
         with AsyncHiddenDatabaseHTTPServer(chaotic) as endpoint:
-            stack = async_remote_stack(endpoint.url, max_retries=3, retry_backoff=0.0)
+            stack = remote_stack(
+                endpoint.url, max_retries=3, retry_backoff=0.0, transport=AsyncRemoteBackend
+            )
             expected = stack.submit(query)
             for _ in range(7):
                 assert stack.submit(query) == expected
@@ -280,7 +269,9 @@ class TestEquivalenceWithThreadedTransport:
         with HiddenDatabaseHTTPServer(served) as endpoint:
             threaded_result = SamplingService(endpoint.url).submit(config).run()
         with AsyncHiddenDatabaseHTTPServer(served, compress_threshold=1) as endpoint:
-            stack = async_remote_stack(endpoint.url, parallel=4, batch=8)
+            stack = remote_stack(
+                endpoint.url, parallel=4, batch=8, transport=AsyncRemoteBackend
+            )
             async_result = SamplingService(stack).submit(config).run()
         assert [s.tuple_id for s in async_result.samples] == [
             s.tuple_id for s in threaded_result.samples
@@ -298,7 +289,9 @@ class TestEquivalenceWithThreadedTransport:
         expected = [served.submit(q) for q in queries]
         with AsyncHiddenDatabaseHTTPServer(served, compress_threshold=1) as endpoint:
             # One 40-query envelope clears the client's 1024-byte threshold.
-            stack = async_remote_stack(endpoint.url, parallel=4, batch=40)
+            stack = remote_stack(
+                endpoint.url, parallel=4, batch=40, transport=AsyncRemoteBackend
+            )
             assert stack.submit_many(queries) == expected
             raw = stack.top
             while not isinstance(raw, AsyncRemoteBackend):

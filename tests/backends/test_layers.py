@@ -5,12 +5,15 @@ import pytest
 from repro.backends import (
     BackendStack,
     BudgetLayer,
+    CircuitBreakerLayer,
     CountModeLayer,
+    DispatchLayer,
     HistoryLayer,
     QueryEngineBackend,
     StatisticsLayer,
     UnreliableLayer,
     engine_stack,
+    introspect,
     web_stack,
 )
 from repro.database.interface import CountMode, HiddenDatabaseInterface
@@ -24,6 +27,7 @@ from repro.exceptions import (
     RateLimitedError,
     TransientBackendError,
 )
+from repro.scenarios.recipes import retried_chaos_recipe, starved_recipe
 from repro.web.client import WebFormClient
 from repro.web.server import HiddenWebSite
 
@@ -110,6 +114,96 @@ class TestSingleCounterInvariant:
         stack = BackendStack(client, [BudgetLayer])  # extra layers stay legal
         stack.submit(any_query)
         assert client.statistics.queries_issued == 1
+
+
+class TestLayerOrder:
+    """The canonical order ``CountMode < CircuitBreaker < Unreliable < Budget
+    < Statistics < History < Dispatch`` is checked when a stack is built."""
+
+    @pytest.mark.parametrize(
+        "layers, upper, lower",
+        [
+            pytest.param(
+                [StatisticsLayer, BudgetLayer, HistoryLayer], "BudgetLayer", "StatisticsLayer",
+                id="statistics-under-budget-under-history",
+            ),
+            pytest.param(
+                [BudgetLayer, UnreliableLayer, StatisticsLayer], "UnreliableLayer", "BudgetLayer",
+                id="retry-above-budget",
+            ),
+            pytest.param(
+                [UnreliableLayer, CircuitBreakerLayer], "CircuitBreakerLayer", "UnreliableLayer",
+                id="retry-under-breaker",
+            ),
+            pytest.param(
+                [StatisticsLayer, BudgetLayer], "BudgetLayer", "StatisticsLayer",
+                id="statistics-under-budget",
+            ),
+        ],
+    )
+    def test_out_of_order_layers_are_refused_naming_both(self, raw, layers, upper, lower):
+        with pytest.raises(ConfigurationError, match=f"{upper} is composed above {lower}"):
+            BackendStack(raw, layers)
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            pytest.param(
+                [CountModeLayer, CircuitBreakerLayer, UnreliableLayer, BudgetLayer,
+                 StatisticsLayer, HistoryLayer, DispatchLayer],
+                id="every-ranked-layer",
+            ),
+            pytest.param(
+                [CircuitBreakerLayer, UnreliableLayer, BudgetLayer, StatisticsLayer,
+                 DispatchLayer],
+                id="guarded-retry",
+            ),
+            pytest.param([UnreliableLayer], id="single-layer"),
+            pytest.param(
+                [lambda inner: UnreliableLayer(inner, max_retries=0), CircuitBreakerLayer],
+                id="fault-source-under-breaker",
+            ),
+        ],
+    )
+    def test_canonical_orders_are_accepted(self, raw, layers):
+        assert len(BackendStack(raw, layers).layers) == len(layers)
+
+    def test_layers_inside_raw_are_not_ranked(self, tiny_table):
+        # The check covers the layers one stack builds: a retry layer over a
+        # finished stack (the chaos recipes) is legal.
+        inner = engine_stack(tiny_table, k=2, ranking=StaticScoreRanking())
+        assert BackendStack(inner.top, [UnreliableLayer]).describe().startswith("UnreliableLayer")
+
+
+class TestAccessorsSeeTheWholeChain:
+    def test_nested_stack_reports_the_inner_layers(self, tiny_table):
+        inner = engine_stack(tiny_table, k=2, ranking=StaticScoreRanking())
+        outer = BackendStack(inner.top, [HistoryLayer])
+        assert outer.layers == (outer.history,)
+        assert outer.statistics is inner.statistics is not None
+        assert outer.statistics_snapshot() is not None
+        assert outer.budget is inner.budget is not None
+        assert outer.count_mode_layer is inner.count_mode_layer is not None
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            pytest.param(lambda table: retried_chaos_recipe(table, 2, failure_rate=0.5), id="retried"),
+            pytest.param(lambda table: starved_recipe(table, 2, latency=0.0), id="starved"),
+        ],
+    )
+    def test_chaos_recipes_report_the_clean_counters(self, tiny_table, any_query, recipe):
+        stack = recipe(tiny_table)
+        stack.submit(any_query)
+        report = introspect(stack)
+        assert report["statistics"]["queries_issued"] == 1
+        assert report["budget"]["issued"] == 1
+
+    def test_two_layers_of_one_type_in_the_chain_still_raise(self, tiny_table):
+        inner = engine_stack(tiny_table, k=2, ranking=StaticScoreRanking())
+        outer = BackendStack(inner.top, [BudgetLayer])
+        with pytest.raises(ConfigurationError, match="2 BudgetLayer layers"):
+            outer.budget
 
 
 class TestCountModeLayer:

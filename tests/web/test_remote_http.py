@@ -304,12 +304,6 @@ class TestFaultTranslation:
 
 
 class TestRemoteStackAndService:
-    def test_remote_stack_layers(self, server):
-        stack = remote_stack(server.url, history=True)
-        assert stack.describe() == (
-            "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → RemoteBackend"
-        )
-
     def test_history_layer_saves_round_trips_over_the_socket(self, server, tiny_schema):
         stack = remote_stack(server.url, history=True)
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
