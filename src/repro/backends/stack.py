@@ -391,6 +391,8 @@ def sharded_stack(
     byte-identical (the property tests prove it), only the round-trips
     overlap.  ``parallel=1`` (or ``None``) keeps the serial router.
     """
+    if parallel is not None and parallel < 1:
+        raise ConfigurationError("parallel must be at least 1 when given")
     if parallel is not None and parallel > 1:
         raw: RawBackend = ConcurrentShardRouter.over_table(
             table, n_shards, k, ranking=ranking, display_columns=display_columns,
@@ -409,8 +411,6 @@ def sharded_stack(
         history=history,
         max_history_entries=max_history_entries,
         statistics=statistics,
-        parallel=parallel,
-        dispatch=False,
     )
 
 
@@ -568,7 +568,6 @@ def _compose(
     statistics: bool = True,
     parallel: int | None = None,
     batch: int | None = None,
-    dispatch: bool = True,
     breaker: CircuitBreakerPolicy | bool | None = None,
     max_retries: int | None = None,
     retry_backoff: float = 0.05,
@@ -578,8 +577,7 @@ def _compose(
 
     ``count_mode=None`` omits count shaping, a falsy ``breaker`` omits the
     breaker, and ``max_retries=None`` omits the retry layer.  ``parallel``
-    or ``batch`` slot a dispatch layer on top unless ``dispatch=False`` (the
-    raw backend already fans out, as a sharded router does).
+    or ``batch`` slot a dispatch layer on top.
     """
     if parallel is not None and parallel < 1:
         raise ConfigurationError("parallel must be at least 1 when given")
@@ -608,7 +606,7 @@ def _compose(
         # *under* the dispatch layer: concurrent batch fan-out and the §3.2
         # history optimisation compose (earlier revisions refused this).
         layers.append(lambda inner: HistoryLayer(inner, max_entries=max_history_entries))
-    if dispatch and ((parallel is not None and parallel > 1) or batch is not None):
+    if (parallel is not None and parallel > 1) or batch is not None:
         layers.append(
             lambda inner: DispatchLayer(
                 inner, max_workers=parallel if parallel is not None else 1, batch_size=batch

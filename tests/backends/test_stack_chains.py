@@ -2,8 +2,9 @@
 
 Layer order decides what counts as an interface query (retries below budget
 and statistics, the breaker below retries), so the chain each preset builds
-is part of its contract.  ``describe()`` lists it outermost first.  Options
-in the table are flags: ``history``, ``nostats`` (``statistics=False``),
+is part of its contract.  ``describe()`` lists it outermost first; the count
+mode does not show in it, so the count layer's mode is checked beside it.
+Options in the table are flags: ``history``, ``nostats`` (``statistics=False``),
 ``exact`` (``count_mode=CountMode.EXACT``), ``parallel`` (``parallel=2``),
 ``batch`` (``batch=4``) and ``breaker`` (``breaker=True``).
 """
@@ -263,6 +264,9 @@ def test_preset_chain(preset, flags, chain, tiny_table, server):
     stack = build(preset, options, tiny_table, server.url)
     try:
         assert stack.describe() == chain
+        if stack.count_mode_layer is not None:
+            exact = stack.count_mode_layer.mode is CountMode.EXACT
+            assert exact == ("exact" in flags.split())
     finally:
         close = getattr(stack.raw, "close", None)
         if callable(close):
