@@ -4,8 +4,8 @@
 |----|------|-----------|
 | R1 | guarded-state | attributes declared in a class's ``_guarded_by`` map
 |    |               | are only mutated while holding the declared lock |
-| R2 | layer-contract | every ``BackendLayer`` subclass handles both halves
-|    |                | of the batch protocol (``submit_many``/``submit_outcomes``) |
+| R2 | layer-contract | a ``BackendLayer`` subclass overriding ``submit``
+|    |                | defines ``submit_outcomes``; none defines ``submit_many`` |
 | R3 | exception-taxonomy | no broad ``except`` outside the allowlist; only
 |    |                    | typed :mod:`repro.exceptions` cross layer boundaries |
 | R4 | deterministic-rng | no direct ``random.*`` calls outside ``repro/_rng.py`` |

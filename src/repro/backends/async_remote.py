@@ -13,12 +13,12 @@ of the async serving tier; :class:`repro.web.aiohttpd` is the server half.
 
 Two usage shapes share one instance:
 
-* **Async-native** — ``await backend.asubmit(query)`` (and ``asubmit_many``
-  / ``asubmit_outcomes`` / ``ahealth``) from any event loop.  Connections
+* **Async-native** — ``await backend.asubmit(query)`` (and
+  ``asubmit_outcomes`` / ``ahealth``) from any event loop.  Connections
   are pooled per loop, because asyncio streams are bound to the loop that
   created them.
 * **Sync facade** — the ordinary raw-backend contract (``submit``,
-  ``submit_many``, ``submit_outcomes``, ``health``), satisfied by driving a
+  ``submit_outcomes``, ``health``), satisfied by driving a
   **private** event loop on a background daemon thread.  This is what lets
   ``remote_stack(url, transport=AsyncRemoteBackend)`` put the whole existing
   layer stack — breakers, retries, budgets, history, dispatch — above an
@@ -360,11 +360,6 @@ class AsyncRemoteBackend:
         """Answer ``query`` with one round-trip on the facade loop."""
         return self._call(self._submit_async(query, current_deadline()))
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Answer a whole batch with one ``POST`` round-trip (input order;
-        the first per-item exception is raised, as in the sync client)."""
-        return self._call(self._submit_many_async(list(queries), current_deadline()))
-
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
@@ -380,12 +375,6 @@ class AsyncRemoteBackend:
     async def asubmit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer ``query`` from the running event loop."""
         return await self._submit_async(query, current_deadline())
-
-    async def asubmit_many(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse]:
-        """One batched round-trip from the running event loop."""
-        return await self._submit_many_async(list(queries), current_deadline())
 
     async def asubmit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
@@ -455,15 +444,6 @@ class AsyncRemoteBackend:
         return response_from_dict(
             self._schema, await self._request_json("GET", path, None, deadline)
         )
-
-    async def _submit_many_async(
-        self, queries: list[ConjunctiveQuery], deadline: Deadline | None
-    ) -> list[InterfaceResponse]:
-        outcomes = await self._submit_outcomes_async(queries, deadline)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
 
     async def _submit_outcomes_async(
         self, queries: list[ConjunctiveQuery], deadline: Deadline | None

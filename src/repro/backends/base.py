@@ -30,40 +30,30 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
 
 
-def forward_many(
-    backend: object, queries: Sequence[ConjunctiveQuery]
-) -> list[InterfaceResponse]:
-    """Submit a batch through ``backend``, using its batch path when it has one.
-
-    The optional batch half of the backend protocol: a backend *may* expose
-    ``submit_many(queries) -> list[InterfaceResponse]`` (responses in input
-    order, first input-order failure raised).  Layers forward batches through
-    this helper so a wire-level batch endpoint at the bottom of a stack is
-    reached however many layers sit above it; backends without a batch path
-    degrade to a serial loop with identical semantics.
-    """
-    submit_many = getattr(backend, "submit_many", None)
-    if callable(submit_many):
-        return list(submit_many(queries))
-    return [backend.submit(query) for query in queries]
-
-
 def forward_outcomes(
     backend: object, queries: Sequence[ConjunctiveQuery]
 ) -> list["InterfaceResponse | Exception"]:
     """Submit a batch through ``backend``, reporting **per-item** outcomes.
 
-    The richer optional batch half of the protocol: a backend may expose
+    The batch half of the backend protocol: a backend may expose
     ``submit_outcomes(queries) -> list[InterfaceResponse | Exception]``
-    (:class:`~repro.backends.remote.RemoteBackend` does natively, the concern
-    layers forward it), in which case one failed item costs neither its
-    siblings' answers nor — for the caching layer above — the round-trips
-    already paid for them.  Backends without it degrade to a serial loop
-    that captures each item's exception in place.
+    (:class:`~repro.backends.remote.RemoteBackend` does natively as one wire
+    round-trip, the concern layers forward it), in which case one failed item
+    costs neither its siblings' answers nor — for the caching layer above —
+    the round-trips already paid for them.  A failure of the whole batch (a
+    dropped POST, a budget that cannot afford it) is reported on every item.
+
+    A one-item batch always travels through ``backend.submit``, so a single
+    query takes the same path whichever entry point asked for it; backends
+    without ``submit_outcomes`` degrade to that loop for every item.
     """
-    submit_outcomes = getattr(backend, "submit_outcomes", None)
-    if callable(submit_outcomes):
-        return list(submit_outcomes(queries))
+    if len(queries) > 1:
+        submit_outcomes = getattr(backend, "submit_outcomes", None)
+        if callable(submit_outcomes):
+            try:
+                return list(submit_outcomes(queries))
+            except Exception as error:  # noqa: BLE001 - spread onto every item
+                return [error] * len(queries)
     outcomes: list[InterfaceResponse | Exception] = []
     for query in queries:
         try:
@@ -100,7 +90,8 @@ class BackendLayer:
     """Base class of all middleware layers: a delegating wrapper.
 
     Subclasses override :meth:`submit` (calling ``self.inner.submit`` when
-    they forward) and inherit the pass-through ``schema``/``k``.  The
+    they forward) and :meth:`submit_outcomes`, and inherit the pass-through
+    ``schema``/``k``.  The
     :attr:`inner` attribute is the hook stack introspection walks.
     """
 
@@ -121,24 +112,17 @@ class BackendLayer:
         """Forward ``query`` unchanged; subclasses add their one concern."""
         return self.inner.submit(query)
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward a batch, reaching the inner backend's batch path when it
-        has one.  Subclasses whose concern is per-submission (budget,
-        statistics, count shaping, history, retries) override this so a batch
-        is accounted exactly like the equivalent sequence of single submits.
-        """
-        return forward_many(self.inner, queries)
-
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list["InterfaceResponse | Exception"]:
-        """Forward a batch reporting per-item outcomes (the other batch half).
+        """Forward a batch reporting per-item outcomes (the batch entry point).
 
-        Both batch halves forward by default so a pure pass-through subclass
-        stays consistent; a subclass overriding any submission entry point
-        must override both halves — reprolint R2 (layer-contract) enforces
-        exactly that, because a layer whose concern applies per submission
-        must apply it on every path a batch can take.
+        A subclass overriding :meth:`submit` must override this too —
+        reprolint R2 (layer-contract) enforces it, because a layer whose
+        concern applies per submission must apply it on every path a batch
+        can take.  Layers define no ``submit_many``: raising the first
+        failed item is :meth:`repro.backends.stack.BackendStack.submit_many`'s
+        job alone.
         """
         return forward_outcomes(self.inner, queries)
 

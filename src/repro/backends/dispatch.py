@@ -15,10 +15,10 @@ byte of any answer:
   the property tests drive this across worker counts, shard counts and all
   four ranking functions.
 
-* :class:`DispatchLayer` — a middleware layer adding
-  :meth:`~DispatchLayer.submit_many`: a *batch* of independent submissions
-  issued concurrently through the wrapped backend — per query, or per
-  ``batch_size`` chunk when a wire-level batch path sits beneath — results
+* :class:`DispatchLayer` — a middleware layer whose
+  :meth:`~DispatchLayer.submit_outcomes` issues a *batch* of independent
+  submissions concurrently through the wrapped backend — per query, or per
+  ``batch_size`` chunk when a wire-level batch path sits beneath — outcomes
   returned in input order.  Single ``submit`` calls pass straight through.
   Everything beneath the layer must be thread-safe — see
   ``docs/architecture.md``: :class:`~repro.backends.layers.StatisticsLayer`
@@ -43,7 +43,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from repro.backends.base import BackendLayer, RawBackend
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
 from repro.backends.resilience import scoped_to_current_deadline
 from repro.backends.shard import MergeKey, ShardRouter
 from repro.database.interface import InterfaceResponse
@@ -168,15 +168,16 @@ class DispatchLayer(BackendLayer):
     """Adds concurrent *batch* submission to any thread-safe backend.
 
     ``submit`` is a plain pass-through — one query cannot be parallelised
-    with itself.  :meth:`submit_many` issues a batch of independent queries
-    through the wrapped backend on a bounded pool and returns the responses
-    in input order; if any submission raises, the first (by input order)
-    exception propagates, mirroring what a serial loop would have raised.
+    with itself.  :meth:`submit_outcomes` issues a batch of independent
+    queries through the wrapped backend on a bounded pool and returns the
+    per-item outcomes in input order (what
+    :meth:`~repro.backends.stack.BackendStack.submit_many` raises the first
+    failure of).
 
     ``batch_size`` chains this layer to a wire-level batch path beneath it:
     instead of one ``inner.submit`` per query, the batch is cut into chunks
     of at most ``batch_size`` queries and each chunk travels as **one**
-    ``inner.submit_many`` call — over a :func:`~repro.backends.stack.remote_stack`
+    ``inner.submit_outcomes`` call — over a :func:`~repro.backends.stack.remote_stack`
     that is one ``POST /api/submit_batch`` round-trip per chunk, and the
     chunks themselves overlap on the worker pool.  ``batch_size=None`` (the
     default) keeps the per-query fan-out.
@@ -205,70 +206,31 @@ class DispatchLayer(BackendLayer):
         """The pool bound batches are dispatched under."""
         return self._pool.max_workers
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Submit every query concurrently; responses come back in input order."""
-        queries = list(queries)
-        if self.batch_size is not None:
-            return self._submit_chunked(queries)
-        if len(queries) <= 1:
-            return [self.inner.submit(query) for query in queries]
-        # The workers run outside the caller's contextvar scope, so the
-        # ambient deadline must travel with the callable.
-        return list(self._pool.get().map(scoped_to_current_deadline(self.inner.submit), queries))
-
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list["InterfaceResponse | Exception"]:
-        """Per-item outcomes, issued concurrently like :meth:`submit_many`.
+        """Per-item outcomes, the chunks issued concurrently, in input order.
 
         One failed item must not discard its siblings' answers (the history
         layer caches whatever was paid for even when the batch as a whole
-        fails), so each worker captures its item's exception via
+        fails), so each worker captures its chunk's exceptions via
         :func:`~repro.backends.base.forward_outcomes` instead of raising
         across the pool.
         """
-        from repro.backends.base import forward_outcomes
-
-        queries = list(queries)
-        if self.batch_size is not None:
-            size = self.batch_size
-            chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
-            if len(chunks) <= 1:
-                return forward_outcomes(self.inner, queries)
-            merged: list[InterfaceResponse | Exception] = []
-            for outcomes in self._pool.get().map(
-                scoped_to_current_deadline(lambda chunk: forward_outcomes(self.inner, chunk)),
-                chunks,
-            ):
-                merged.extend(outcomes)
-            return merged
-        if len(queries) <= 1:
+        size = self.batch_size or 1
+        chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
+        if len(chunks) <= 1:
             return forward_outcomes(self.inner, queries)
+        # The workers run outside the caller's contextvar scope, so the
+        # ambient deadline must travel with the callable.
         return [
             outcome
             for outcomes in self._pool.get().map(
-                scoped_to_current_deadline(lambda query: forward_outcomes(self.inner, [query])),
-                queries,
+                scoped_to_current_deadline(lambda chunk: forward_outcomes(self.inner, chunk)),
+                chunks,
             )
             for outcome in outcomes
         ]
-
-    def _submit_chunked(self, queries: list[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Cut the batch into wire-sized chunks and overlap them on the pool."""
-        from repro.backends.base import forward_many
-
-        size = self.batch_size
-        assert size is not None
-        chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
-        if len(chunks) <= 1:
-            return forward_many(self.inner, queries)
-        merged: list[InterfaceResponse] = []
-        for responses in self._pool.get().map(
-            scoped_to_current_deadline(lambda chunk: forward_many(self.inner, chunk)),
-            chunks,
-        ):
-            merged.extend(responses)
-        return merged
 
     def close(self) -> None:
         """Release the worker threads (the layer stays usable)."""

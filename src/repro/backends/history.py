@@ -42,12 +42,12 @@ stripe lock is held or on its own — never the other way round — and is
 updated in the same stripe-lock hold as the stripe's responses, so a probe
 never returns an entry that has already been evicted.
 
-Batch submissions (:meth:`HistoryLayer.submit_many`) answer every hit and
-inferable item locally, deduplicate repeated canonical keys *within* the
+Batch submissions (:meth:`HistoryLayer.submit_outcomes`) answer every hit
+and inferable item locally, deduplicate repeated canonical keys *within* the
 batch, and forward only the first occurrence of each genuine miss — as one
-inner ``submit_many`` when the inner backend has a batch path (e.g. the wire
-batch of :class:`~repro.backends.remote.RemoteBackend`), so a warm history
-over a remote endpoint pays one small POST instead of many GETs.
+inner ``submit_outcomes`` batch (e.g. the wire batch of
+:class:`~repro.backends.remote.RemoteBackend`), so a warm history over a
+remote endpoint pays one small POST instead of many GETs.
 
 Complexity contract: every valid or empty answer is also filed in one
 *subsumption index*, ``canonical key → response``.  A subsuming ancestor's
@@ -73,6 +73,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from typing import Sequence
 
+from repro.backends.base import forward_outcomes
 from repro.database.interface import HiddenDatabase, InterfaceResponse, ResultPage, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -270,14 +271,16 @@ class HistoryLayer:
         self._release(key, stripe, event)
         return response
 
-    def submit_many(
+    def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse]:
+    ) -> list[InterfaceResponse | Exception]:
         """Answer a batch: cache hits locally, the misses as one inner batch.
 
         Repeated canonical keys *within* the batch are issued once; keys
         another thread is already issuing are awaited after our own forward
-        rather than re-issued.  Responses come back in input order.
+        rather than re-issued.  Per-item outcomes come back in input order;
+        a failed item costs neither its siblings' answers nor the cache the
+        round-trips already paid for.
 
         Answers are identical to a serial loop's; the *savings* may be
         slightly smaller: a serial loop can infer item ``j`` from item
@@ -288,7 +291,7 @@ class HistoryLayer:
         queries = list(queries)
         with self._stats_lock:
             self.statistics.submissions += len(queries)
-        results: list[InterfaceResponse | None] = [None] * len(queries)
+        results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
         owned: dict[tuple, list[int]] = {}      # key -> positions we must issue
         events: list[tuple[int, threading.Event]] = []  # positions awaiting another thread
         for index, query in enumerate(queries):
@@ -314,13 +317,11 @@ class HistoryLayer:
                 else:
                     owned[key] = [index]
                 break
-        first_error: Exception | None = None
-        first_error_index = len(queries)
         if owned:
             keys = list(owned)
             forward = [queries[owned[key][0]] for key in keys]
             try:
-                outcomes = self._forward_many(forward)
+                outcomes = forward_outcomes(self.inner, forward)
             except BaseException:
                 for key in keys:
                     stripe = self._stripe_for(key)
@@ -333,23 +334,15 @@ class HistoryLayer:
             extra_hits = 0
             for key, outcome in zip(keys, outcomes):
                 stripe = self._stripe_for(key)
-                if isinstance(outcome, Exception):
-                    # This item failed, but its siblings' answers were still
-                    # paid for and are remembered below — only the failing
-                    # key's waiters are released to fend for themselves.
-                    with stripe.lock:
-                        event = stripe.in_flight.pop(key, None)
-                    if event is not None:
-                        event.set()
-                    index = min(owned[key])
-                    if index < first_error_index:
-                        first_error, first_error_index = outcome, index
-                    continue
-                issued += 1
-                # A within-batch repeat of an issued key is the batch shape of
-                # an exact hit: the serial loop would have replayed it.
-                extra_hits += len(owned[key]) - 1
-                self._remember(key, outcome)
+                if not isinstance(outcome, Exception):
+                    issued += 1
+                    # A within-batch repeat of an issued key is the batch
+                    # shape of an exact hit: the serial loop would have
+                    # replayed it.
+                    extra_hits += len(owned[key]) - 1
+                    self._remember(key, outcome)
+                # A failed key's waiters are released to fend for themselves;
+                # its siblings' answers were still paid for and remembered.
                 with stripe.lock:
                     event = stripe.in_flight.pop(key, None)
                 if event is not None:
@@ -361,11 +354,6 @@ class HistoryLayer:
                 self.statistics.exact_hits += extra_hits
             if issued:
                 self.last_source = CachedResponseSource.INTERFACE
-        if first_error is not None:
-            # Mirror submit_many contracts below: the first input-order error
-            # surfaces — but everything answered is already in the cache, so
-            # a retried batch re-pays only the failed items.
-            raise first_error
         for index, event in events:
             # Another thread owned these keys; its answer is cached by now
             # (or it failed, in which case submit() re-guards and issues).
@@ -377,7 +365,7 @@ class HistoryLayer:
             if response is None:
                 with self._stats_lock:
                     self.statistics.submissions -= 1  # submit() recounts it
-                response = self.submit(query)
+                (response,) = forward_outcomes(self, [query])
             results[index] = response
         return results  # type: ignore[return-value] - every slot is filled
 
@@ -429,26 +417,6 @@ class HistoryLayer:
         with stripe.lock:
             stripe.in_flight.pop(key, None)
         event.set()
-
-    def _forward_many(
-        self, queries: list[ConjunctiveQuery]
-    ) -> list["InterfaceResponse | Exception"]:
-        """Issue the de-duplicated misses, batched when the inner backend can.
-
-        Prefers per-item outcomes (:func:`~repro.backends.base.forward_outcomes`
-        — the ``submit_outcomes`` path, or a serial loop capturing each item's
-        exception) so that when one item fails, the siblings' already-paid-for
-        answers still come back to be remembered.  An inner backend offering
-        *only* ``submit_many`` keeps its wire batching; its whole-batch raise
-        is handled by the caller's release-everything path.
-        """
-        from repro.backends.base import forward_outcomes
-
-        if len(queries) > 1 and not callable(getattr(self.inner, "submit_outcomes", None)):
-            inner_many = getattr(self.inner, "submit_many", None)
-            if callable(inner_many):
-                return list(inner_many(queries))
-        return forward_outcomes(self.inner, queries)
 
     # -- inference ---------------------------------------------------------------------
 

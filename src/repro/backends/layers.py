@@ -28,9 +28,8 @@ import time
 from typing import Sequence
 
 from repro._rng import resolve_rng, spawn_rng
-from repro.backends.base import BackendLayer, RawBackend, forward_many, forward_outcomes
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
 from repro.backends.resilience import (
-    Deadline,
     Fault,
     FaultSchedule,
     backoff_delay,
@@ -73,22 +72,15 @@ class BudgetLayer(BackendLayer):
             self.budget.charge(1)
         return self.inner.submit(query)
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Charge the whole batch up front, atomically — all or nothing.
+    def submit_outcomes(
+        self, queries: Sequence[ConjunctiveQuery]
+    ) -> list[InterfaceResponse | Exception]:
+        """Per-item outcomes, the whole batch charged up front, atomically.
 
         A batch the budget cannot afford raises before a single query is
         issued, exactly as a site that stops answering does; it never
         half-spends a nearly-exhausted budget on a partial batch.
         """
-        queries = list(queries)
-        with self._lock:
-            self.budget.charge(len(queries))
-        return forward_many(self.inner, queries)
-
-    def submit_outcomes(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes, the batch charged up front like :meth:`submit_many`."""
         queries = list(queries)
         with self._lock:
             self.budget.charge(len(queries))
@@ -124,19 +116,6 @@ class StatisticsLayer(BackendLayer):
         with self._lock:
             self.statistics.record(response)
         return response
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward the batch, then record every *answered* response.
-
-        Mirrors the single-submit contract: a batch that raises below this
-        layer counts nothing — only answers the client actually received are
-        recorded.
-        """
-        responses = forward_many(self.inner, queries)
-        with self._lock:
-            for response in responses:
-                self.statistics.record(response)
-        return responses
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
@@ -196,10 +175,6 @@ class CountModeLayer(BackendLayer):
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         return self._shaped(self.inner.submit(query))
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward the batch and shape every reported count."""
-        return list(map(self._shaped, forward_many(self.inner, queries)))
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
@@ -301,6 +276,10 @@ class UnreliableLayer(BackendLayer):
     *i*-th forwarded attempt verbatim (transient fault, rate limit with
     hint, connection drop, latency spike), so breaker transitions and
     deadline behaviour are testable deterministically without a socket.
+
+    :meth:`submit` is the one-item case of :meth:`submit_outcomes`, so a
+    single submission and a batch run the same retry loop and move the same
+    counters.
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the chaos counters and
@@ -356,107 +335,61 @@ class UnreliableLayer(BackendLayer):
         self._lock = threading.Lock()
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        last_error: Exception | None = None
-        deadline = current_deadline()
-        for attempt in range(self.max_retries + 1):
-            if attempt > 0:
-                with self._lock:
-                    self.statistics.retries += 1
-                    delay = self._retry_delay_locked(attempt, last_error)
-                self._sleep_within_deadline(delay, deadline)
-            elif deadline is not None and deadline.expired:
-                with self._lock:
-                    self.statistics.deadline_exceeded += 1
-                deadline.check("submission")
-            scripted = self.schedule.next_fault() if self.schedule is not None else None
-            if scripted is not None and scripted.latency > 0.0:
-                time.sleep(scripted.latency)
-            if self.latency > 0.0:
-                time.sleep(self.latency)
-            with self._lock:
-                self.statistics.attempts += 1
-                if scripted is not None:
-                    error = self._record_scripted_locked(scripted)
-                else:
-                    error = self._inject_fault_locked()
-            if error is not None:
-                last_error = error
-                continue
-            try:
-                return self.inner.submit(query)
-            except CircuitOpenError:
-                # An open circuit beneath fails fast on purpose; retrying it
-                # is exactly the hammering the breaker exists to stop.
-                raise
-            except RateLimitedError as backend_error:
-                with self._lock:
-                    self.statistics.backend_rate_limited += 1
-                last_error = backend_error
-            except TransientBackendError as backend_error:
-                with self._lock:
-                    self.statistics.backend_transient_failures += 1
-                last_error = backend_error
-        with self._lock:
-            self.statistics.gave_up += 1
-        assert last_error is not None
-        raise last_error
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward a batch with **per-item** retries; first input-order error raised.
-
-        This is where the batch endpoint's per-item statuses pay off: one
-        rate-limited item does not fail (or re-issue!) its siblings — only
-        the items that actually faulted, injected or real, are re-sent on the
-        next attempt, as one smaller batch.  Once retries are exhausted, or an
-        item failed permanently (e.g. an exhausted budget), the first
-        input-order error is raised — exactly what the equivalent serial loop
-        would have surfaced.  Callers that want the surviving answers despite
-        a failed sibling use :meth:`submit_outcomes` (the history layer does,
-        so paid-for answers are cached even when the batch as a whole fails).
-        """
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
+        (outcome,) = self.submit_outcomes([query])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """The retry loop of :meth:`submit_many`, reporting per-item outcomes."""
+        """The retry loop, reporting **per-item** outcomes.
+
+        One rate-limited item does not fail (or re-issue!) its siblings: only
+        the items that actually faulted, injected or real, are re-sent on the
+        next attempt, as one smaller batch.  Every counter moves per item,
+        exactly as the equivalent sequence of single submits would move it.
+        An item whose retries ran out reports its last fault; a permanent
+        error (e.g. an exhausted budget) or an open circuit beneath is
+        reported as-is, never retried; a deadline that runs out is reported
+        on the items still waiting, not thrown at the ones already answered.
+        """
         queries = list(queries)
-        if not queries:
-            return []
         results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
         retryable = list(range(len(queries)))
         deadline = current_deadline()
         for attempt in range(self.max_retries + 1):
+            if not retryable:
+                break
+            delay = 0.0
             if attempt > 0:
                 with self._lock:
                     self.statistics.retries += len(retryable)
                     delay = self._retry_delay_locked(
                         attempt, self._batch_hint_error(results, retryable)
                     )
-                try:
-                    self._sleep_within_deadline(delay, deadline)
-                except DeadlineExceededError as expired:
-                    # Per-item contract: the budget running out mid-batch is
-                    # reported on the items still waiting, not thrown at the
-                    # items already answered.
-                    for index in retryable:
-                        results[index] = expired
-                    return results  # type: ignore[return-value] - every slot is filled
-            elif deadline is not None and deadline.expired:
+            # A sleep that would consume the entire remaining budget (or a
+            # budget already spent) fails now: there would be no time left
+            # to actually use the attempt it was buying.
+            if deadline is not None and (
+                deadline.expired or (attempt > 0 and delay >= deadline.remaining())
+            ):
                 with self._lock:
-                    self.statistics.deadline_exceeded += 1
-                expired_error = DeadlineExceededError(
-                    "batch submission", remaining_ms=deadline.remaining_ms()
+                    self.statistics.deadline_exceeded += len(retryable)
+                expired = DeadlineExceededError(
+                    "retry backoff" if attempt > 0 else "submission",
+                    remaining_ms=deadline.remaining_ms(),
                 )
-                return [expired_error] * len(queries)
+                for index in retryable:
+                    results[index] = expired
+                retryable = []
+                break
+            if delay > 0.0:
+                time.sleep(delay)
             if self.latency > 0.0:
                 time.sleep(self.latency)  # one batch = one simulated round-trip
             issue: list[int] = []
-            injected: list[int] = []
+            still_retryable: list[int] = []
             spike = 0.0
             for index in retryable:
                 scripted = self.schedule.next_fault() if self.schedule is not None else None
@@ -472,18 +405,17 @@ class UnreliableLayer(BackendLayer):
                     issue.append(index)
                 else:
                     results[index] = fault
-                    injected.append(index)
+                    still_retryable.append(index)
             if spike > 0.0:
                 time.sleep(spike)  # the batch is as slow as its slowest item
-            outcomes = self._forward_batch([queries[index] for index in issue])
-            still_retryable = list(injected)
+            outcomes = forward_outcomes(self.inner, [queries[index] for index in issue])
             for index, outcome in zip(issue, outcomes):
                 results[index] = outcome
                 if isinstance(outcome, CircuitOpenError):
-                    # Fail-fast by design: reported as-is, never retried.
-                    with self._lock:
-                        self.statistics.backend_transient_failures += 1
-                elif isinstance(outcome, RateLimitedError):
+                    # An open circuit beneath fails fast on purpose; retrying
+                    # it is exactly the hammering the breaker exists to stop.
+                    continue
+                if isinstance(outcome, RateLimitedError):
                     with self._lock:
                         self.statistics.backend_rate_limited += 1
                     still_retryable.append(index)
@@ -491,38 +423,12 @@ class UnreliableLayer(BackendLayer):
                     with self._lock:
                         self.statistics.backend_transient_failures += 1
                     still_retryable.append(index)
-                # Any other exception is permanent: reported as-is, never
-                # retried — mirroring the single-submit path.
+                # Any other exception is permanent: reported as-is.
             retryable = sorted(still_retryable)
-            if not retryable:
-                break
         if retryable:
             with self._lock:
                 self.statistics.gave_up += len(retryable)
         return results  # type: ignore[return-value] - every slot is filled
-
-    def _forward_batch(
-        self, queries: list[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes from the inner backend, batched when it can.
-
-        A backend with a wire batch (``RemoteBackend``) reports per-item
-        outcomes natively via ``submit_outcomes``; anything else degrades to a
-        serial loop that captures each item's exception instead of raising —
-        the shape the retry loop needs either way.  A transient fault that
-        takes down the *whole* batched round-trip (connection dropped, proxy
-        503 on the POST itself) is spread onto every item, so the retry loop
-        heals it exactly like per-item faults instead of letting it escape
-        unretried.
-        """
-        if not queries:
-            return []
-        try:
-            return forward_outcomes(self.inner, queries)
-        except RateLimitedError as error:
-            return [error] * len(queries)
-        except TransientBackendError as error:
-            return [error] * len(queries)
 
     def snapshot(self) -> UnreliableStatistics:
         """A point-in-time copy of the chaos counters (see ``StatisticsLayer``)."""
@@ -590,20 +496,3 @@ class UnreliableLayer(BackendLayer):
                 hinted = outcome
                 largest = outcome.retry_after
         return hinted
-
-    def _sleep_within_deadline(self, delay: float, deadline: Deadline | None) -> None:
-        """Sleep ``delay`` seconds — unless the deadline forbids it.
-
-        A sleep that would consume the entire remaining budget (or a budget
-        already spent) raises :class:`DeadlineExceededError` immediately:
-        there would be no time left to actually use the retry the sleep was
-        buying.
-        """
-        if deadline is not None and (deadline.expired or delay >= deadline.remaining()):
-            with self._lock:
-                self.statistics.deadline_exceeded += 1
-            raise DeadlineExceededError(
-                "retry backoff", remaining_ms=deadline.remaining_ms()
-            )
-        if delay > 0.0:
-            time.sleep(delay)

@@ -5,8 +5,9 @@ learns the searchable schema and top-``k`` from ``GET /api/schema`` at
 construction, then answers every ``submit`` with one
 ``GET /api/submit?<query string>`` round-trip — the query travels in the
 ordinary :mod:`repro.web.urlcodec` form encoding, the response comes back as
-the :mod:`repro.web.jsoncodec` JSON payload — and every ``submit_many`` with
-one ``POST /api/submit_batch`` carrying the whole batch.
+the :mod:`repro.web.jsoncodec` JSON payload — and every multi-item
+``submit_outcomes`` with one ``POST /api/submit_batch`` carrying the whole
+batch.
 
 The paper's entire cost model is round-trips to the hidden database, so the
 transport is built not to waste any:
@@ -21,11 +22,11 @@ transport is built not to waste any:
   the usual :class:`~repro.exceptions.TransientBackendError` translation
   applies.  :attr:`pool_statistics` counts opened / reused / stale
   connections so benchmarks and tests can see the reuse rate.
-* **Batched wire submits.**  ``submit_many`` ships N queries in one POST;
-  the server answers each item with its own status
+* **Batched wire submits.**  ``submit_outcomes`` ships N queries in one
+  POST; the server answers each item with its own status
   (:func:`repro.web.jsoncodec.batch_response_from_dict`), so one 429 or
-  exhausted budget fails only its item.  ``submit_outcomes`` exposes those
-  per-item outcomes — responses and exception objects — which is what lets
+  exhausted budget fails only its item.  The per-item outcomes — responses
+  and exception objects — are what lets
   :class:`~repro.backends.layers.UnreliableLayer` retry just the failed
   items instead of re-paying the whole batch.
 
@@ -293,20 +294,6 @@ class RemoteBackend:
         encoded = encode_query(query)
         path = f"{API_SUBMIT_PATH}?{encoded}" if encoded else API_SUBMIT_PATH
         return response_from_dict(self._schema, self._request_json("GET", path))
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Answer a whole batch with one ``POST`` round-trip.
-
-        Responses come back in input order; if any item failed, the first
-        (by input order) per-item exception is raised — callers that want the
-        surviving answers use :meth:`submit_outcomes` instead (the retry
-        layer does).
-        """
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]

@@ -584,53 +584,29 @@ class CircuitBreakerLayer(BackendLayer):
         self.breaker = breaker if breaker is not None else CircuitBreaker(policy)
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        self.breaker.before_call()
-        try:
-            response = self.inner.submit(query)
-        except TransientBackendError:
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            # The backend answered — with a permanent, typed refusal.  That
-            # is its caller's problem, not evidence the backend is down.
-            self.breaker.record_success()
-            raise
-        self.breaker.record_success()
-        return response
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """One gated batch; the first input-order per-item error is raised."""
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        responses: list[InterfaceResponse] = []
-        for outcome in outcomes:
-            assert not isinstance(outcome, Exception)
-            responses.append(outcome)
-        return responses
+        (outcome,) = self.submit_outcomes([query])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Gate the batch once, record every per-item outcome in the window."""
-        queries = list(queries)
+        """Gate the batch once, record every per-item outcome in the window.
+
+        A transient fault records a failure; an answer or a permanent, typed
+        refusal records a success — the backend answered, it is the request
+        that was wrong.  An open circuit raises before the inner backend is
+        touched.
+        """
         if not queries:
             return []
         self.breaker.before_call()
-        try:
-            outcomes = forward_outcomes(self.inner, queries)
-        except TransientBackendError:
-            # The whole round-trip died before producing per-item outcomes.
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            self.breaker.record_success()
-            raise
+        outcomes = forward_outcomes(self.inner, queries)
         for outcome in outcomes:
             if isinstance(outcome, TransientBackendError):
                 self.breaker.record_failure()
-            else:
+            elif isinstance(outcome, ReproError) or not isinstance(outcome, Exception):
                 self.breaker.record_success()
         return outcomes
 
@@ -738,103 +714,58 @@ class FailoverRouter:
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer through the first healthy target, primary first."""
-        last_error: Exception | None = None
-        for position, target in enumerate(self._targets):
-            try:
-                target.breaker.before_call()
-            except CircuitOpenError as error:
-                last_error = error
-                continue
-            try:
-                response = target.backend.submit(query)
-            except CircuitOpenError as error:
-                # A breaker *inside* the target tripped; ours records the
-                # fast-fail as a failure so the router-level view agrees.
-                target.breaker.record_failure()
-                last_error = error
-                continue
-            except TransientBackendError as error:
-                target.breaker.record_failure()
-                last_error = error
-                continue
-            except ReproError:
-                target.breaker.record_success()
-                raise
-            target.breaker.record_success()
-            with self._lock:
-                self.statistics.submissions += 1
-                if position > 0:
-                    self.statistics.failovers += 1
-                target.served += 1
-            return response
-        with self._lock:
-            self.statistics.exhausted += 1
-        assert last_error is not None  # there is always at least one target
-        raise last_error
+        (outcome,) = self.submit_outcomes([query])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes through the first target that answers the batch.
+        """Per-item outcomes, each item from the first target that answers it.
 
-        A target whose circuit is open — or whose *entire* batch comes back
-        transient — is skipped and the next replica is tried; a batch with
-        any answered item is authoritative (mixed outcomes are that
-        backend's honest per-item verdicts, not a reason to re-ask a
-        replica and double-spend the answered items).
+        Each target is gated once for the items still pending.  An item
+        whose outcome is transient (including an open circuit inside the
+        target) records a failure and moves on to the next replica; an
+        answered item or a permanent refusal records a success and stays —
+        a replica is never re-asked what a target already answered.  An
+        item no target could answer reports the last target's fault.
         """
-        queries = list(queries)
-        if not queries:
-            return []
-        last_outcomes: list[InterfaceResponse | Exception] | None = None
+        results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
+        pending = list(range(len(queries)))
         for position, target in enumerate(self._targets):
+            if not pending:
+                break
             try:
                 target.breaker.before_call()
             except CircuitOpenError as error:
-                last_outcomes = [error] * len(queries)
+                for index in pending:
+                    results[index] = error
                 continue
-            try:
-                outcomes = forward_outcomes(target.backend, queries)
-            except TransientBackendError as error:
-                target.breaker.record_failure()
-                last_outcomes = [error] * len(queries)
-                continue
-            except ReproError:
-                target.breaker.record_success()
-                raise
-            transient = [
-                isinstance(outcome, TransientBackendError) for outcome in outcomes
-            ]
-            for failed in transient:
-                if failed:
+            outcomes = forward_outcomes(target.backend, [queries[index] for index in pending])
+            failed: list[int] = []
+            answered = 0
+            for index, outcome in zip(pending, outcomes):
+                results[index] = outcome
+                if isinstance(outcome, TransientBackendError):
                     target.breaker.record_failure()
-                else:
+                    failed.append(index)
+                elif not isinstance(outcome, Exception):
                     target.breaker.record_success()
-            if all(transient):
-                last_outcomes = outcomes
-                continue
+                    answered += 1
+                elif isinstance(outcome, ReproError):
+                    target.breaker.record_success()
+            if answered:
+                with self._lock:
+                    self.statistics.submissions += answered
+                    if position > 0:
+                        self.statistics.failovers += answered
+                    target.served += answered
+            pending = failed
+        if pending:
             with self._lock:
-                self.statistics.submissions += 1
-                if position > 0:
-                    self.statistics.failovers += 1
-                target.served += 1
-            return outcomes
-        with self._lock:
-            self.statistics.exhausted += 1
-        assert last_outcomes is not None
-        return last_outcomes
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Batch submissions; the first input-order per-item error is raised."""
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        responses: list[InterfaceResponse] = []
-        for outcome in outcomes:
-            assert not isinstance(outcome, Exception)
-            responses.append(outcome)
-        return responses
+                self.statistics.exhausted += len(pending)
+        return results  # type: ignore[return-value] - every slot is filled
 
     # -- health --------------------------------------------------------------
 

@@ -38,7 +38,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend
-from repro.backends.base import RawBackend, iter_chain
+from repro.backends.base import RawBackend, forward_outcomes, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import BudgetLayer, CountModeLayer, StatisticsLayer, UnreliableLayer
@@ -154,16 +154,20 @@ class BackendStack:
     def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
         """Submit a batch of independent queries, responses in input order.
 
-        When the outermost layer is a
+        The one place a batch raises: the layers report per-item outcomes
+        (:func:`~repro.backends.base.forward_outcomes`) and this method
+        raises the first failed item by input order — after every answered
+        item has been counted, charged and cached exactly once.  Under a
         :class:`~repro.backends.dispatch.DispatchLayer` (``web_stack(...,
-        parallel=N)``) the batch is issued concurrently; otherwise this is a
-        plain loop, so callers can always batch without caring how the stack
-        was built.
+        parallel=N)``) the batch is issued concurrently; otherwise it is a
+        loop, so callers can always batch without caring how the stack was
+        built.
         """
-        submit_many = getattr(self.top, "submit_many", None)
-        if callable(submit_many):
-            return submit_many(queries)
-        return [self.top.submit(query) for query in queries]
+        outcomes = forward_outcomes(self.top, list(queries))
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes  # type: ignore[return-value] - no exceptions left
 
     # -- introspection ---------------------------------------------------------
 

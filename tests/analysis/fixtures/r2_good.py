@@ -1,11 +1,8 @@
-"""R2 fixture: a layer overriding submission defines both batch halves."""
+"""R2 fixture: a layer overriding submission defines submit_outcomes."""
 
 
 class BackendLayer:
     def submit(self, query):
-        raise NotImplementedError
-
-    def submit_many(self, queries):
         raise NotImplementedError
 
     def submit_outcomes(self, queries):
@@ -16,11 +13,15 @@ class CountingLayer(BackendLayer):
     def submit(self, query):
         return query
 
-    def submit_many(self, queries):
+    def submit_outcomes(self, queries):
         return list(queries)
 
+
+class FanOutLayer(BackendLayer):
+    """Overrides only the batch entry point: single submits pass through."""
+
     def submit_outcomes(self, queries):
-        return [(query, None) for query in queries]
+        return list(queries)
 
 
 class PassthroughLayer(BackendLayer):

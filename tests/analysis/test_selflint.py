@@ -2,7 +2,8 @@
 
 The first test is the gate the CI ``lint`` job enforces: zero findings over
 ``src/repro``.  The rest are red tests: take a real source file, break one
-invariant mechanically (strip a ``with`` lock block, delete a batch method),
+invariant mechanically (strip a ``with`` lock block, delete or rename a batch
+method),
 and check the relevant rule catches exactly that regression.  This guards
 against the failure mode where a refactor quietly turns a rule into a no-op
 and the "clean" gate stops meaning anything.
@@ -73,6 +74,23 @@ class _DropMethod(ast.NodeTransformer):
         return node
 
 
+class _RenameMethod(ast.NodeTransformer):
+    def __init__(self, class_name: str, old_name: str, new_name: str):
+        self.class_name = class_name
+        self.old_name = old_name
+        self.new_name = new_name
+        self.renamed = 0
+
+    def visit_ClassDef(self, node: ast.ClassDef):
+        if node.name != self.class_name:
+            return node
+        for statement in node.body:
+            if isinstance(statement, ast.FunctionDef) and statement.name == self.old_name:
+                statement.name = self.new_name
+                self.renamed += 1
+        return node
+
+
 def _mutate(tmp_path, transformer: ast.NodeTransformer) -> Path:
     tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
     mutated = ast.fix_missing_locations(transformer.visit(tree))
@@ -95,10 +113,20 @@ class TestMutationsStayRed:
         )
 
     def test_deleting_a_batch_method_trips_r2(self, tmp_path):
-        transformer = _DropMethod("BudgetLayer", "submit_many")
+        transformer = _DropMethod("BudgetLayer", "submit_outcomes")
         target = _mutate(tmp_path, transformer)
-        assert transformer.dropped == 1, "fixture drift: BudgetLayer.submit_many not found"
+        assert transformer.dropped == 1, "fixture drift: BudgetLayer.submit_outcomes not found"
         findings = run_analysis([target], rules=[LayerContractRule()])
         assert findings
         assert all(f.rule == "R2" for f in findings)
         assert any("BudgetLayer" in f.message for f in findings)
+
+    def test_a_second_batch_method_trips_r2(self, tmp_path):
+        transformer = _RenameMethod("CountModeLayer", "submit_outcomes", "submit_many")
+        target = _mutate(tmp_path, transformer)
+        assert transformer.renamed == 1, "fixture drift: CountModeLayer.submit_outcomes not found"
+        findings = run_analysis([target], rules=[LayerContractRule()])
+        assert {f.rule for f in findings} == {"R2"}
+        messages = [f.message for f in findings if "CountModeLayer" in f.message]
+        assert any("'submit_many'" in message for message in messages)
+        assert any("'submit_outcomes'" in message for message in messages)

@@ -81,13 +81,13 @@ class TestSyncFacadeContract:
             for query in _queries(tiny_schema):
                 assert remote.submit(query) == served.submit(query), str(query)
 
-    def test_submit_many_is_one_wire_round_trip(self, server, served, tiny_schema):
+    def test_submit_outcomes_is_one_wire_round_trip(self, server, served, tiny_schema):
         queries = _queries(tiny_schema, count=8, seed=3)
         with AsyncRemoteBackend(server.url) as remote:
             before = server.requests_served
-            assert remote.submit_many(queries) == [served.submit(q) for q in queries]
+            assert remote.submit_outcomes(queries) == [served.submit(q) for q in queries]
             assert server.requests_served == before + 1
-            assert remote.submit_many([]) == []
+            assert remote.submit_outcomes([]) == []
 
     def test_submit_outcomes_carries_per_item_errors(self, tiny_table, tiny_schema):
         limited = engine_stack(

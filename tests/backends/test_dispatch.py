@@ -3,8 +3,8 @@
 The contract under test is absolute: a :class:`ConcurrentShardRouter` (any
 worker count, any shard count, any ranking) returns *exactly* the response a
 serial :class:`ShardRouter` over the same shards returns, and
-``DispatchLayer.submit_many`` returns exactly what a serial loop would, in
-input order.  Concurrency may only change the wall clock.
+a stack's ``submit_many`` under a ``DispatchLayer`` returns exactly what a
+serial loop would, in input order.  Concurrency may only change the wall clock.
 """
 
 import random
@@ -144,7 +144,7 @@ class TestDispatchLayer:
             engine_stack(tiny_table, k=2, ranking=StaticScoreRanking()).top, max_workers=4
         )
         queries = _random_queries(tiny_schema, random.Random(3), 25)
-        assert layer.submit_many(queries) == [serial.submit(q) for q in queries]
+        assert BackendStack(layer).submit_many(queries) == [serial.submit(q) for q in queries]
         layer.close()
 
     def test_single_submit_passes_straight_through(self, tiny_table, tiny_schema):
@@ -159,7 +159,7 @@ class TestDispatchLayer:
         stack = engine_stack(tiny_table, k=2, ranking=StaticScoreRanking())
         layer = DispatchLayer(stack.top, max_workers=8)
         queries = _random_queries(tiny_schema, random.Random(4), 59)
-        responses = layer.submit_many(queries)
+        responses = BackendStack(layer).submit_many(queries)
         stats = stack.statistics.as_dict()
         assert stats["queries_issued"] == 60
         assert (
@@ -173,7 +173,7 @@ class TestDispatchLayer:
         chaos = UnreliableLayer(raw, rate_limit_every=5, max_retries=3)
         layer = DispatchLayer(chaos, max_workers=8)
         queries = _random_queries(tiny_schema, random.Random(9), 79)
-        layer.submit_many(queries)
+        BackendStack(layer).submit_many(queries)
         stats = chaos.statistics
         # Every submission succeeded, every attempt and injected fault counted:
         # attempts = submissions + retries exactly, no lost increments.
@@ -191,7 +191,7 @@ class TestDispatchLayer:
         )
         layer = DispatchLayer(stack.top, max_workers=8)
         with pytest.raises(QueryBudgetExceededError):
-            layer.submit_many(_random_queries(tiny_schema, random.Random(5), 39))
+            BackendStack(layer).submit_many(_random_queries(tiny_schema, random.Random(5), 39))
         assert stack.budget.issued == 10  # charged to the limit, not past it
         layer.close()
 
@@ -262,7 +262,7 @@ class TestDispatchLayer:
             ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"}),
         ]
         with pytest.raises(TransientBackendError):
-            layer.submit_many(queries)
+            BackendStack(layer).submit_many(queries)
         layer.close()
 
     def test_dispatch_runs_on_worker_threads(self, tiny_table, tiny_schema):
@@ -286,6 +286,6 @@ class TestDispatchLayer:
 
         raw = ThreadRecorder(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         layer = DispatchLayer(raw, max_workers=4)
-        layer.submit_many(_random_queries(tiny_schema, random.Random(8), 20))
+        BackendStack(layer).submit_many(_random_queries(tiny_schema, random.Random(8), 20))
         assert all(name.startswith("backend-dispatch") for name in seen)
         layer.close()

@@ -122,13 +122,36 @@ class TestRouting:
         # would just double the damage.
         assert replica.calls == 0
 
-    def test_batch_outcomes_fail_over_only_all_transient_batches(self, engine, empty_query):
+    def test_batch_outcomes_fail_over_per_item(self, engine, empty_query):
         primary, (replica,), router = make_router(engine)
         primary.failing = True
         outcomes = router.submit_outcomes([empty_query, empty_query])
         assert all(not isinstance(outcome, Exception) for outcome in outcomes)
-        assert replica.calls >= 1
-        assert router.submit_many([empty_query]) == [engine.submit(empty_query)]
+        assert replica.calls == 2
+        assert router.statistics.submissions == router.statistics.failovers == 2
+        assert router.submit_outcomes([empty_query]) == [engine.submit(empty_query)]
+
+    def test_a_mixed_batch_fails_over_only_its_transient_items(self, engine, tiny_schema):
+        class FailsOnHonda(FlakyBackend):
+            def submit(self, query):
+                self.calls += 1
+                if query.value_of("make") == "Honda":
+                    raise TransientBackendError("shard down")
+                return self.inner.submit(query)
+
+        primary = FailsOnHonda(engine)
+        replica = FlakyBackend(engine)
+        router = FailoverRouter(primary, [replica])
+        queries = [
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": make})
+            for make in ("Toyota", "Honda", "Ford")
+        ]
+        assert router.submit_outcomes(queries) == [engine.submit(q) for q in queries]
+        assert primary.calls == 3
+        assert replica.calls == 1  # answered items are never re-asked
+        assert router.snapshot()["served"] == {"primary": 2, "replica-1": 1}
+        assert router.statistics.submissions == 3
+        assert router.statistics.failovers == 1
 
     def test_mismatched_targets_rejected(self, engine, tiny_table):
         other_k = engine_stack(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import HistoryLayer, QueryEngineBackend
+from repro.backends import BackendStack, HistoryLayer, QueryEngineBackend
 from repro.database.interface import HiddenDatabaseInterface
 from repro.exceptions import ConfigurationError
 from repro.database.query import ConjunctiveQuery
@@ -114,7 +114,7 @@ class TestStripedEqualsSerial:
         rng = random.Random(4)
         batches = [_query_sequence(tiny_schema, rng, 12) for _ in range(N_THREADS)]
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            all_responses = list(pool.map(striped.submit_many, batches))
+            all_responses = list(pool.map(BackendStack(striped).submit_many, batches))
         for batch, responses in zip(batches, all_responses):
             assert responses == [oracle.submit(query) for query in batch]
 
@@ -219,7 +219,7 @@ class TestBatchSemantics:
         layer = HistoryLayer(counting)
         a = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         b = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
-        responses = layer.submit_many([a, b, a, a, b])
+        responses = BackendStack(layer).submit_many([a, b, a, a, b])
         assert counting.counts == {a.canonical_key(): 1, b.canonical_key(): 1}
         assert responses[0] == responses[2] == responses[3]
         assert responses[1] == responses[4]
@@ -239,7 +239,7 @@ class TestBatchSemantics:
         layer.submit(broad)  # valid: 2 tuples at k=2, no overflow
         issued_before = sum(counting.counts.values())
         narrow = broad.specialise("color", "red")
-        responses = layer.submit_many([broad, narrow])
+        responses = BackendStack(layer).submit_many([broad, narrow])
         assert sum(counting.counts.values()) == issued_before  # nothing forwarded
         oracle = QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking())
         assert responses == [oracle.submit(broad), oracle.submit(narrow)]
@@ -249,7 +249,7 @@ class TestBatchSemantics:
         queries = _query_sequence(tiny_schema, rng, 30)
         batched = HistoryLayer(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         looped = HistoryLayer(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
-        assert batched.submit_many(queries) == [looped.submit(q) for q in queries]
+        assert BackendStack(batched).submit_many(queries) == [looped.submit(q) for q in queries]
         # Savings may be smaller (a batch cannot infer item j from item i's
         # not-yet-issued answer) but never larger, and the accounting
         # invariant a serial loop upholds survives batching.
@@ -320,7 +320,7 @@ class TestBatchFaultHandling:
         import pytest as _pytest
 
         with _pytest.raises(QueryBudgetExceededError):
-            layer.submit_many([good_a, poison, good_b])
+            BackendStack(layer).submit_many([good_a, poison, good_b])
         paid = len(issued)
         # The two good answers were paid for once and are now cached:
         assert layer.submit(good_a) == inner.submit(good_a)
@@ -354,7 +354,7 @@ class TestBatchFaultHandling:
 
         layer = UnreliableLayer(FlakyBatchBackend(), max_retries=3, retry_backoff=0.0)
         queries = _query_sequence(tiny_schema, random.Random(31), 6)
-        assert layer.submit_many(queries) == [inner.submit(q) for q in queries]
+        assert BackendStack(layer).submit_many(queries) == [inner.submit(q) for q in queries]
         assert calls["n"] == 2  # the one failed POST, then the healed retry
         assert layer.statistics.backend_transient_failures == len(queries)
         assert layer.statistics.gave_up == 0

@@ -139,7 +139,7 @@ class TestWireCompression:
         queries = _batch_queries(tiny_schema)
         client = RemoteBackend(compressing_server.url, compress_threshold=1)
         try:
-            assert client.submit_many(queries) == [oracle.submit(q) for q in queries]
+            assert client.submit_outcomes(queries) == [oracle.submit(q) for q in queries]
         finally:
             client.close()
         counters = client.compression_statistics
@@ -158,7 +158,7 @@ class TestWireCompression:
         )
         queries = _batch_queries(tiny_schema)
         with AsyncRemoteBackend(compressing_server.url, compress_threshold=1) as client:
-            assert client.submit_many(queries) == [oracle.submit(q) for q in queries]
+            assert client.submit_outcomes(queries) == [oracle.submit(q) for q in queries]
             counters = client.compression_statistics
         assert counters["requests_compressed"] == 1
         assert counters["responses_decompressed"] >= 2
@@ -192,10 +192,10 @@ class TestWireCompression:
         # answers from the same compressing server.
         queries = _batch_queries(tiny_schema)
         with AsyncRemoteBackend(compressing_server.url, compress_threshold=1) as gzipped:
-            compressed_answers = gzipped.submit_many(queries)
+            compressed_answers = gzipped.submit_outcomes(queries)
         plain = RemoteBackend(compressing_server.url, compress_threshold=None)
         try:
-            assert plain.submit_many(queries) == compressed_answers
+            assert plain.submit_outcomes(queries) == compressed_answers
         finally:
             plain.close()
 

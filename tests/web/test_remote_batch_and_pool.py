@@ -6,7 +6,7 @@ Everything here runs over real loopback sockets.  The contracts under test:
   statistics prove it); ``pool_size=0`` restores the one-connect-per-request
   baseline; a keep-alive connection that went stale while idle is replaced
   with one transparent reconnect, invisible to the caller.
-* **Batching** — ``submit_many`` ships N queries in one POST and returns
+* **Batching** — ``submit_outcomes`` ships N queries in one POST and returns
   byte-identical answers in input order; per-item statuses mean one 429 or
   exhausted budget fails only its item, and the retry layer above re-issues
   only the failed items.
@@ -166,7 +166,7 @@ class TestBatchWire:
         remote = RemoteBackend(server.url)
         queries = _random_queries(tiny_schema, 4, 15)
         served_before = server.requests_served
-        responses = remote.submit_many(queries)
+        responses = remote.submit_outcomes(queries)
         assert responses == [tiny_backend.submit(query) for query in queries]
         assert server.requests_served == served_before + 1  # ONE round-trip
         assert server.batch_items_served == len(queries)
@@ -175,7 +175,7 @@ class TestBatchWire:
         remote = RemoteBackend(server.url)
         queries = _random_queries(tiny_schema, 5, 8)
         before = server.requests_served
-        remote.submit_many(queries)
+        remote.submit_outcomes(queries)
         batched_requests = server.requests_served - before
         before = server.requests_served
         for query in queries:
@@ -207,7 +207,7 @@ class TestBatchWire:
         with HiddenDatabaseHTTPServer(served, batch_workers=1) as endpoint:
             remote = RemoteBackend(endpoint.url)
             with pytest.raises(QueryBudgetExceededError):
-                remote.submit_many(queries)
+                BackendStack(remote).submit_many(queries)
 
     def test_retry_layer_reissues_only_failed_items(self, tiny_table, tiny_schema):
         """A server that rate-limits every 3rd submission: the batch heals
@@ -279,7 +279,7 @@ class TestBatchWire:
         recorder = ThreadRecorder(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         with HiddenDatabaseHTTPServer(recorder, batch_workers=4) as endpoint:
             remote = RemoteBackend(endpoint.url)
-            remote.submit_many(_random_queries(tiny_schema, 10, 12))
+            remote.submit_outcomes(_random_queries(tiny_schema, 10, 12))
         assert any(name.startswith("httpd-batch") for name in seen)
 
 
