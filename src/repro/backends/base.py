@@ -63,6 +63,18 @@ def forward_outcomes(
     return outcomes
 
 
+def raise_first_failure(
+    outcomes: Sequence["InterfaceResponse | Exception"],
+) -> list[InterfaceResponse]:
+    """The responses of a batch, or its first failed item (input order) raised."""
+    responses: list[InterfaceResponse] = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        responses.append(outcome)
+    return responses
+
+
 @runtime_checkable
 class RawBackend(Protocol):
     """Structural protocol of any hidden-database access path.

@@ -28,7 +28,7 @@ import time
 from typing import Sequence
 
 from repro._rng import resolve_rng, spawn_rng
-from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes, raise_first_failure
 from repro.backends.resilience import (
     Fault,
     FaultSchedule,
@@ -335,10 +335,7 @@ class UnreliableLayer(BackendLayer):
         self._lock = threading.Lock()
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        (outcome,) = self.submit_outcomes([query])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return raise_first_failure(self.submit_outcomes([query]))[0]
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]

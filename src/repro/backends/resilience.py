@@ -53,7 +53,7 @@ from contextlib import contextmanager
 from random import Random
 from typing import Callable, Iterator, Sequence
 
-from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes, raise_first_failure
 from repro.database.interface import InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -584,10 +584,7 @@ class CircuitBreakerLayer(BackendLayer):
         self.breaker = breaker if breaker is not None else CircuitBreaker(policy)
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        (outcome,) = self.submit_outcomes([query])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return raise_first_failure(self.submit_outcomes([query]))[0]
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
@@ -599,8 +596,6 @@ class CircuitBreakerLayer(BackendLayer):
         that was wrong.  An open circuit raises before the inner backend is
         touched.
         """
-        if not queries:
-            return []
         self.breaker.before_call()
         outcomes = forward_outcomes(self.inner, queries)
         for outcome in outcomes:
@@ -714,10 +709,7 @@ class FailoverRouter:
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer through the first healthy target, primary first."""
-        (outcome,) = self.submit_outcomes([query])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return raise_first_failure(self.submit_outcomes([query]))[0]
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]

@@ -38,7 +38,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend
-from repro.backends.base import RawBackend, forward_outcomes, iter_chain
+from repro.backends.base import RawBackend, forward_outcomes, iter_chain, raise_first_failure
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import BudgetLayer, CountModeLayer, StatisticsLayer, UnreliableLayer
@@ -163,11 +163,7 @@ class BackendStack:
         loop, so callers can always batch without caring how the stack was
         built.
         """
-        outcomes = forward_outcomes(self.top, list(queries))
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
+        return raise_first_failure(forward_outcomes(self.top, list(queries)))
 
     # -- introspection ---------------------------------------------------------
 

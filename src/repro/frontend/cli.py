@@ -63,17 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition the simulated catalogue over N shard backends "
                              "behind one router (results are identical to --shards 1)")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="overlap round-trips over N worker threads: shard "
-                             "sub-queries with --shards > 1, batch chunks with "
-                             "--remote (results are identical to serial)")
+                        help="with --shards > 1: scatter shard sub-queries over N "
+                             "worker threads (results are identical to serial)")
     parser.add_argument("--remote", default=None, metavar="URL",
                         help="sample a remote hidden database served by a "
                              "repro.web.httpd endpoint instead of simulating one locally "
                              "(--dataset/--rows/--shards are then ignored)")
-    parser.add_argument("--batch", type=int, default=None, metavar="M",
-                        help="with --remote: ship up to M queries per wire round-trip "
-                             "through POST /api/submit_batch (per-item statuses; "
-                             "combine with --parallel N to overlap chunks)")
     parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                         help="wall-clock budget for the whole run: retry backoff "
                              "sleeps clip to the remaining budget, expired work "
@@ -127,29 +122,18 @@ def _build_backend(args: argparse.Namespace) -> BackendStack:
     statistics) is identical either way, as are the sampled results.  With
     ``--remote URL`` nothing is simulated: the stack talks JSON-over-HTTP to
     the named endpoint over pooled keep-alive connections, retrying real
-    429s/5xxs; ``--batch M`` ships up to M queries per round-trip and
-    ``--parallel N`` overlaps those chunks.
+    429s/5xxs.  The sampler submits one query at a time, so there is nothing
+    to batch or overlap on that path.
     """
     if args.shards < 1:
         raise ReproError("--shards must be at least 1")
     if args.parallel is not None and args.parallel < 1:
         raise ReproError("--parallel must be at least 1")
-    if args.batch is not None and args.batch < 1:
-        raise ReproError("--batch must be at least 1")
-    if args.batch is not None and args.remote is None:
-        raise ReproError("--batch configures the remote wire batch; it needs --remote URL")
-    if (
-        args.parallel is not None
-        and args.parallel > 1
-        and args.remote is None
-        and args.shards < 2
-    ):
-        raise ReproError("--parallel needs --shards > 1 or --remote to have work to overlap")
+    if args.parallel is not None and (args.shards < 2 or args.remote is not None):
+        raise ReproError("--parallel needs --shards > 1 to have sub-queries to overlap")
     budget = QueryBudget(limit=args.budget) if args.budget is not None else QueryBudget()
     if args.remote is not None:
-        return remote_stack(
-            args.remote, budget=budget, parallel=args.parallel, batch=args.batch
-        )
+        return remote_stack(args.remote, budget=budget)
     count_mode = (
         CountMode.EXACT
         if args.algorithm == SamplerAlgorithm.COUNT_AIDED.value

@@ -249,6 +249,8 @@ class AsyncHiddenDatabaseHTTPServer(DatabaseEndpoint):
             writer.close()
             try:
                 await writer.wait_closed()
+            except asyncio.CancelledError:
+                pass  # shutdown cancelled a handler already closing: done either way
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
 

@@ -69,24 +69,6 @@ class TestRuleSpecifics:
         assert "LopsidedLayer" in finding.message
         assert "submit_outcomes" in finding.message
 
-    def test_r2_flags_a_layer_submit_many(self, tmp_path):
-        source = tmp_path / "r2_many.py"
-        source.write_text(
-            "class BackendLayer:\n"
-            "    pass\n\n\n"
-            "class DoubleLayer(BackendLayer):\n"
-            "    def submit(self, query):\n"
-            "        return query\n\n"
-            "    def submit_outcomes(self, queries):\n"
-            "        return list(queries)\n\n"
-            "    def submit_many(self, queries):\n"
-            "        return list(queries)\n",
-            encoding="utf-8",
-        )
-        (finding,) = run_rule(LayerContractRule(), load_module(source, str(source)))
-        assert "DoubleLayer" in finding.message
-        assert "'submit_many'" in finding.message
-
     def test_r3_typed_boundary_is_path_sensitive(self):
         # Outside the boundary packages only the swallowing broad except is
         # flagged; presented as a backends module, the untyped ``ValueError``

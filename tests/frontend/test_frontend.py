@@ -213,39 +213,22 @@ class TestCli:
         assert main(["--rows", "100", "--samples", "5", "--shards", "2",
                      "--parallel", "0"]) == 2
 
-    def test_cli_rejects_batch_without_remote(self, capsys):
-        # --batch configures the remote wire batch; silently ignoring it on a
-        # local path would promise round-trip savings that never happen.
-        assert main(["--rows", "100", "--samples", "5", "--batch", "8"]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert main(["--remote", "http://127.0.0.1:9", "--batch", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_cli_has_no_batch_flag(self, capsys):
+        # The sampler submits one query at a time: there is no batch to cut.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--remote", "http://127.0.0.1:9", "--samples", "5", "--batch", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
-    def test_cli_samples_a_remote_endpoint_with_batch_and_parallel(self, capsys):
-        """--remote now composes with --parallel/--batch: the stack carries a
-        DispatchLayer cutting wire batches, and sampling works end to end."""
-        from repro.backends import engine_stack
-        from repro.datasets.vehicles import (
-            VehiclesConfig,
-            default_vehicles_ranking,
-            generate_vehicles_table,
-        )
-        from repro.web.httpd import HiddenDatabaseHTTPServer
-
-        table = generate_vehicles_table(VehiclesConfig(n_rows=300, seed=0))
-        served = engine_stack(
-            table, 100, ranking=default_vehicles_ranking(), statistics=False
-        )
-        with HiddenDatabaseHTTPServer(served) as endpoint:
-            exit_code = main(
-                ["--remote", endpoint.url, "--samples", "5", "--seed", "1",
-                 "--parallel", "4", "--batch", "8"]
-            )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "DispatchLayer" in captured.out
-        assert "RemoteBackend" in captured.out
-        assert "samples=5" in captured.out
+    def test_cli_rejects_parallel_with_remote(self, capsys):
+        # Over --remote, --parallel would only add a pass-through dispatch
+        # layer; it is refused before any connection is attempted.
+        assert main(["--remote", "http://127.0.0.1:9", "--samples", "5",
+                     "--parallel", "4"]) == 2
+        assert "--shards > 1" in capsys.readouterr().err
+        assert main(["--remote", "http://127.0.0.1:9", "--samples", "5",
+                     "--shards", "4", "--parallel", "4"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_cli_samples_a_remote_endpoint(self, capsys):
         from repro.backends import engine_stack

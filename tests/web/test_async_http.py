@@ -313,3 +313,31 @@ class TestSlowClientReclaim:
                 assert stalled.recv(4096) == b""  # server closed on us
             with _get(endpoint.url + "/api/schema") as response:
                 assert response.status == 200
+
+
+class TestShutdownWhileClosing:
+    def test_cancel_during_wait_closed_returns_cleanly(self, served):
+        """Shutdown may cancel a handler that is already closing its
+        connection; the cancellation must end the handler, not escape it."""
+
+        class ClosingWriter:
+            closed = False
+
+            def get_extra_info(self, name):
+                return None
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                raise asyncio.CancelledError()
+
+        async def handle():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()  # a clean EOF: the handler goes straight to close
+            writer = ClosingWriter()
+            server = AsyncHiddenDatabaseHTTPServer(served)
+            await server._handle_connection(reader, writer)
+            return writer.closed
+
+        assert asyncio.run(handle()) is True
