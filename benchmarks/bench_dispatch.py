@@ -5,7 +5,8 @@ This benchmark answers the question the dispatch subsystem exists for: when
 each shard sub-query costs a network-shaped round-trip, does scattering the
 sub-queries over a thread pool actually buy the wall-clock back?
 
-Three sections:
+Three sections; ``--check`` enforces three floors (parallel shards ≥ 2×,
+pooled ≥ 1.3×, batched ≥ 1.5×):
 
 * **parallel_shards** (guarded) — 4 table shards, each wrapped in an
   ``UnreliableLayer(latency=...)`` simulating a per-request round-trip, behind
@@ -27,25 +28,12 @@ Three sections:
   ``POST /api/submit_batch`` fan-out must be **≥ 1.5×** single-query
   round-trips).  The merged responses are asserted byte-identical first,
   as always.
-* **concurrent_serving** (guarded) — the async serving tier (ISSUE 8):
-  the *same* sustained workload — ``SERVE_CLIENTS`` persistent clients each
-  issuing a stream of single-query submissions over its own keep-alive
-  connection — against a ``ThreadingHTTPServer`` front end vs the
-  ``repro.web.aiohttpd`` event loop, served backend and client identical, so
-  the serving tier is the only variable.  At high client counts the
-  thread-per-connection tier degrades (one runnable Python thread per
-  connection, all convoying on the interpreter lock) and — crucially for a
-  CI gate — degrades *noisily*: single passes swing several-fold on scheduler
-  luck.  Each tier is therefore measured as the **median of three
-  alternating passes** against a fresh server, and the async median must be
-  **≥ 1.5×** the threaded one.  Byte-identity across the two front ends is
-  asserted first, through both remote clients.
 
 Usage (mirrors the other benchmark scripts)::
 
     PYTHONPATH=src python benchmarks/bench_dispatch.py            # full run (50k rows)
     PYTHONPATH=src python benchmarks/bench_dispatch.py --quick    # reduced workload
-    PYTHONPATH=src python benchmarks/bench_dispatch.py --check    # assert the 2x floor
+    PYTHONPATH=src python benchmarks/bench_dispatch.py --check    # assert the floors
 
 Results are written to ``BENCH_dispatch.json``.
 """
@@ -53,10 +41,8 @@ Results are written to ``BENCH_dispatch.json``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,7 +50,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.backends import (
-    AsyncRemoteBackend,
     BackendStack,
     ConcurrentShardRouter,
     RemoteBackend,
@@ -76,7 +61,6 @@ from repro.backends import (
 )
 from repro.database.query import ConjunctiveQuery
 from repro.datasets.vehicles import VehiclesConfig, generate_vehicles_table
-from repro.web.aiohttpd import AsyncHiddenDatabaseHTTPServer
 from repro.web.httpd import HiddenDatabaseHTTPServer
 
 K = 100
@@ -107,31 +91,6 @@ BATCH_WORKERS = 4
 MIN_POOL_SPEEDUP = 1.3
 MIN_BATCH_SPEEDUP = 1.5
 
-#: Concurrent-serving section (ISSUE 8).  64 persistent clients is the point
-#: where thread-per-connection serving visibly convoys on the interpreter
-#: lock even on small hosts; fewer clients let the threaded tier get lucky,
-#: more make it shed connections outright.
-SERVE_CLIENTS = 64
-#: Small top-k so each request is transport-shaped, not ranking-shaped —
-#: the serving tier, not the engine, is the thing under test.
-SERVE_K = 25
-#: Warm rounds per client before any timing: establishes the keep-alive
-#: connections (in staggered waves — see ``bench_concurrent_serving``) and
-#: lets both tiers reach steady state.
-SERVE_WARM_ROUNDS = 4
-#: Connections are established in waves of this size during warm-up; dumping
-#: all 64 SYNs at once overflows the threaded server's listen backlog (5) and
-#: the resulting SYN retransmits stall for whole seconds.
-SERVE_STAGGER_GROUP = 8
-#: Timed passes per tier, alternated threaded/async; the median is compared.
-#: Single threaded passes at this concurrency are bimodal (scheduler luck),
-#: so a CI gate on one pass would flake.
-SERVE_PASSES = 3
-
-#: Acceptance floor for the async serving tier: at high client counts the
-#: event-loop front end must sustain ≥ 1.5x the threaded front end's
-#: throughput on the identical workload (observed margin is well above).
-MIN_ASYNC_SERVE_SPEEDUP = 1.5
 
 
 def _random_queries(schema, rng: random.Random, count: int, min_preds: int = 1, max_preds: int = 3):
@@ -270,134 +229,11 @@ def bench_remote_batching(remote_table, queries) -> dict:
     }
 
 
-async def _drive_serve_clients(backend, client_queries, n_clients: int, stagger: bool) -> None:
-    """Fan ``client_queries`` out over ``n_clients`` concurrent client tasks.
-
-    With ``stagger`` the tasks start in waves of ``SERVE_STAGGER_GROUP`` so
-    connections are established a handful at a time: dumping all 64 SYNs at
-    once overflows the threaded server's listen backlog (5) and the resulting
-    SYN retransmits stall for whole seconds.
-    """
-    per_client = [client_queries[i::n_clients] for i in range(n_clients)]
-
-    async def one_client(work) -> None:
-        for query in work:
-            await backend.asubmit(query)
-
-    tasks = []
-    for start in range(0, n_clients, SERVE_STAGGER_GROUP):
-        tasks.extend(
-            asyncio.ensure_future(one_client(per_client[i]))
-            for i in range(start, min(start + SERVE_STAGGER_GROUP, n_clients))
-        )
-        if stagger:
-            await asyncio.sleep(0.05)
-    await asyncio.gather(*tasks)
-
-
-def _serve_pass(make_server, warm, timed, n_clients: int) -> float:
-    """One cold pass: fresh server, fresh client wave, timed steady drive.
-
-    Warm-up and the timed drive share a single ``asyncio.run`` session — the
-    remote pool keys its connections by event loop, so splitting them across
-    sessions would silently re-connect mid-measurement.
-    """
-    with make_server() as server:
-        backend = AsyncRemoteBackend(server.url, pool_size=n_clients, timeout=120.0)
-        try:
-
-            async def session() -> float:
-                await _drive_serve_clients(backend, warm, n_clients, stagger=True)
-                start = time.perf_counter()
-                await _drive_serve_clients(backend, timed, n_clients, stagger=False)
-                return time.perf_counter() - start
-
-            return asyncio.run(session())
-        finally:
-            backend.close()
-
-
-def bench_concurrent_serving(remote_table, queries, rounds: int) -> dict:
-    """Client-wave serving load: threaded vs asyncio front end, same bytes.
-
-    Each pass is deliberately *cold*: a fresh front end absorbs a freshly
-    arriving wave of ``SERVE_CLIENTS`` persistent clients (staggered
-    connection establishment, ``SERVE_WARM_ROUNDS`` un-timed requests each),
-    then the timed drive runs on the established connections.  That is the
-    high-client-count scenario the async tier exists for — and it is where
-    the tiers differ *structurally*: thread-per-connection pays a spawned
-    handler thread plus scheduler churn for every arriving connection and
-    convoys on the interpreter lock while the wave settles, whereas the
-    event loop just accepts.  (Left running on the same connections for long
-    enough, the threaded tier eventually recovers to near parity — a warm
-    steady state this section intentionally does not measure.)
-
-    Passes alternate threaded/async ``SERVE_PASSES`` times and the medians
-    are compared: threaded passes are additionally noisy (scheduler luck),
-    and the median over independent cold passes is what makes the 1.5x
-    floor CI-safe.
-    """
-    served = engine_stack(remote_table, SERVE_K, statistics=False)
-    n_clients = SERVE_CLIENTS
-    warm = queries[: n_clients * SERVE_WARM_ROUNDS]
-    timed = queries[n_clients * SERVE_WARM_ROUNDS :][: n_clients * rounds]
-
-    # request_timeout=None on both: a convoying tier should post a slow
-    # number, not shed the measurement's connections mid-pass.
-    def make_threaded():
-        return HiddenDatabaseHTTPServer(served, serve_pages=False, request_timeout=None)
-
-    def make_async():
-        return AsyncHiddenDatabaseHTTPServer(served, serve_pages=False, request_timeout=None)
-
-    # Byte-identical first: both front ends, both remote clients.
-    with make_threaded() as threaded_server, make_async() as async_server:
-        clients = [
-            RemoteBackend(threaded_server.url),
-            RemoteBackend(async_server.url),
-            AsyncRemoteBackend(threaded_server.url),
-            AsyncRemoteBackend(async_server.url),
-        ]
-        try:
-            for query in timed[: min(20, len(timed))]:
-                expected = clients[0].submit(query)
-                for other in clients[1:]:
-                    assert other.submit(query) == expected, str(query)
-        finally:
-            for client in clients:
-                client.close()
-
-    threaded_times = []
-    async_times = []
-    for _ in range(SERVE_PASSES):
-        threaded_times.append(_serve_pass(make_threaded, warm, timed, n_clients))
-        async_times.append(_serve_pass(make_async, warm, timed, n_clients))
-    threaded_rates = [round(len(timed) / elapsed, 1) for elapsed in threaded_times]
-    async_rates = [round(len(timed) / elapsed, 1) for elapsed in async_times]
-    threaded_median = statistics.median(threaded_rates)
-    async_median = statistics.median(async_rates)
-    speedup = async_median / threaded_median if threaded_median > 0 else float("inf")
-    return {
-        "clients": n_clients,
-        "rounds_per_client": rounds,
-        "queries_per_pass": len(timed),
-        "passes": SERVE_PASSES,
-        "k": SERVE_K,
-        "rows": REMOTE_ROWS,
-        "threaded_pass_ops_per_sec": threaded_rates,
-        "async_pass_ops_per_sec": async_rates,
-        "threaded_ops_per_sec": threaded_median,
-        "async_ops_per_sec": async_median,
-        "async_speedup": round(speedup, 2),
-    }
-
-
 def run(
     n_rows: int,
     n_latency_queries: int,
     n_cpu_queries: int,
     n_http_queries: int,
-    n_serve_rounds: int,
 ) -> dict:
     rng = random.Random(SEED)
     table = generate_vehicles_table(VehiclesConfig(n_rows=n_rows, seed=SEED))
@@ -405,14 +241,10 @@ def run(
     latency_queries = _random_queries(table.schema, rng, n_latency_queries)
     cpu_queries = _random_queries(table.schema, rng, n_cpu_queries)
     http_queries = _random_queries(remote_table.schema, rng, n_http_queries)
-    serving_queries = _random_queries(
-        remote_table.schema, rng, SERVE_CLIENTS * (SERVE_WARM_ROUNDS + n_serve_rounds)
-    )
     shards = bench_parallel_shards(table, latency_queries)
     inprocess = bench_inprocess_shards(table, cpu_queries)
     pooling = bench_remote_pooling(remote_table, http_queries)
     batching = bench_remote_batching(remote_table, http_queries)
-    serving = bench_concurrent_serving(remote_table, serving_queries, n_serve_rounds)
     print(
         f"rows={n_rows}  latency-bound {N_SHARDS}-shard dispatch: "
         f"{shards['parallel_ops_per_sec']:>7.1f} vs {shards['serial_ops_per_sec']:>7.1f} q/s "
@@ -424,12 +256,6 @@ def run(
         f"batched {batching['batched_ops_per_sec']:.1f} vs single "
         f"{batching['single_ops_per_sec']:.1f} q/s ({batching['batched_speedup']:.2f}x)"
     )
-    print(
-        f"concurrent serving ({serving['clients']} clients, median of "
-        f"{serving['passes']}): async {serving['async_ops_per_sec']:.1f} vs "
-        f"threaded {serving['threaded_ops_per_sec']:.1f} q/s "
-        f"({serving['async_speedup']:.2f}x)"
-    )
     return {
         "k": K,
         "seed": SEED,
@@ -440,7 +266,6 @@ def run(
             "pooling": pooling,
             "batching": batching,
         },
-        "concurrent_serving": serving,
     }
 
 
@@ -449,7 +274,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="reduced workload (CI smoke mode)")
     parser.add_argument("--check", action="store_true",
-                        help="fail if the parallel-dispatch speedup regresses past the floor")
+                        help="fail if a guarded speedup regresses past its floor")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_dispatch.json",
                         help="where to write the machine-readable report")
@@ -461,7 +286,6 @@ def main(argv=None) -> int:
             n_latency_queries=60,
             n_cpu_queries=150,
             n_http_queries=60,
-            n_serve_rounds=6,
         )
     else:
         report = run(
@@ -469,7 +293,6 @@ def main(argv=None) -> int:
             n_latency_queries=200,
             n_cpu_queries=400,
             n_http_queries=150,
-            n_serve_rounds=15,
         )
     report["mode"] = "quick" if args.quick else "full"
 
@@ -494,12 +317,6 @@ def main(argv=None) -> int:
             failures.append(
                 f"batched remote speedup {batched:.2f}x < {MIN_BATCH_SPEEDUP:.1f}x floor"
             )
-        serving = report["concurrent_serving"]["async_speedup"]
-        if serving < MIN_ASYNC_SERVE_SPEEDUP:
-            failures.append(
-                f"async serving speedup {serving:.2f}x < "
-                f"{MIN_ASYNC_SERVE_SPEEDUP:.1f}x floor"
-            )
         inprocess = report["inprocess_shards"]["speedup"]
         print(
             f"note: in-process shard control is informational only "
@@ -513,8 +330,7 @@ def main(argv=None) -> int:
             f"check passed: parallel dispatch {speedup:.2f}x >= "
             f"{MIN_PARALLEL_SPEEDUP:.0f}x, pooled remote {pooled:.2f}x >= "
             f"{MIN_POOL_SPEEDUP:.1f}x, batched remote {batched:.2f}x >= "
-            f"{MIN_BATCH_SPEEDUP:.1f}x, async serving {serving:.2f}x >= "
-            f"{MIN_ASYNC_SERVE_SPEEDUP:.1f}x"
+            f"{MIN_BATCH_SPEEDUP:.1f}x"
         )
     return 0
 

@@ -21,7 +21,7 @@ The package separates *what answers conjunctive queries* (raw backends) from
   builders :func:`~repro.backends.stack.engine_stack`,
   :func:`~repro.backends.stack.web_stack`,
   :func:`~repro.backends.stack.sharded_stack`,
-  :func:`~repro.backends.stack.remote_stack` (either transport) and
+  :func:`~repro.backends.stack.remote_stack` and
   :func:`~repro.backends.stack.failover_stack`, which all place their layers
   in one canonical order that :class:`BackendStack` checks at construction.
 
@@ -30,7 +30,6 @@ these stacks; see ``docs/architecture.md`` for the full picture.
 """
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend, build_returned_tuple
-from repro.backends.async_remote import AsyncRemoteBackend
 from repro.backends.base import BackendLayer, RawBackend, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import CachedResponseSource, HistoryLayer, HistoryStatistics
@@ -66,7 +65,6 @@ from repro.backends.stack import (
 )
 
 __all__ = [
-    "AsyncRemoteBackend",
     "BackendLayer",
     "BackendStack",
     "BreakerState",

@@ -73,7 +73,6 @@ from repro.exceptions import (
 from repro.web.compress import (
     DEFAULT_COMPRESS_THRESHOLD,
     GZIP_ENCODING,
-    CompressionCounters,
     decompress,
     maybe_compress,
 )
@@ -232,6 +231,13 @@ class RemoteBackend:
     :func:`~repro.backends.stack.remote_stack` configures).
     """
 
+    #: Machine-checked by reprolint R1 (guarded-state): the compression
+    #: counters are bumped by every thread sharing this backend.
+    _guarded_by = {
+        "_requests_compressed": "_lock",
+        "_responses_decompressed": "_lock",
+    }
+
     def __init__(
         self,
         base_url: str,
@@ -243,6 +249,8 @@ class RemoteBackend:
     ) -> None:
         if not base_url.startswith(("http://", "https://")):
             raise ConfigurationError(f"base_url must be an http(s) URL, got {base_url!r}")
+        if timeout <= 0:
+            raise ConfigurationError("timeout must be positive")
         if connect_retries < 0:
             raise ConfigurationError("connect_retries must be non-negative")
         if connect_backoff < 0:
@@ -256,7 +264,9 @@ class RemoteBackend:
         #: negotiated via ``Accept-Encoding`` regardless, and
         #: :attr:`compression_statistics` counts both directions.
         self.compress_threshold = compress_threshold
-        self._compression = CompressionCounters()
+        self._lock = threading.Lock()
+        self._requests_compressed = 0
+        self._responses_decompressed = 0
         split = urlsplit(self.base_url)
         #: A base URL may carry a path (a reverse proxy mounting the endpoint
         #: under a prefix); every request path is joined onto it.
@@ -337,7 +347,11 @@ class RemoteBackend:
     @property
     def compression_statistics(self) -> dict[str, int]:
         """Wire-compression counters (requests_compressed / responses_decompressed)."""
-        return self._compression.statistics()
+        with self._lock:
+            return {
+                "requests_compressed": self._requests_compressed,
+                "responses_decompressed": self._responses_decompressed,
+            }
 
     def close(self) -> None:
         """Close every idle pooled connection (the backend stays usable)."""
@@ -442,7 +456,8 @@ class RemoteBackend:
             body, encoding = maybe_compress(body, self.compress_threshold)
             if encoding is not None:
                 headers["Content-Encoding"] = encoding
-                self._compression.count_request()
+                with self._lock:
+                    self._requests_compressed += 1
         deadline = current_deadline()
         if deadline is not None:
             if deadline.expired:
@@ -482,7 +497,8 @@ class RemoteBackend:
                 # is a malformed payload (FormParseError), same as bad JSON.
                 raw_body = decompress(raw_body, response_encoding, MAX_RESPONSE_BYTES)
                 if (response_encoding or "").strip().lower() == GZIP_ENCODING:
-                    self._compression.count_response()
+                    with self._lock:
+                        self._responses_decompressed += 1
             return response.status, raw_body, self._retry_after_header(response)
 
     @staticmethod

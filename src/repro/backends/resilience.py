@@ -799,6 +799,10 @@ class FailoverRouter:
         """Whether any target would admit a call right now (scheduler probe)."""
         return any(target.breaker.would_allow() for target in self._targets)
 
+    def retry_after(self) -> float:
+        """Seconds until some target would admit a call (0 when one would now)."""
+        return min(target.breaker.retry_after() for target in self._targets)
+
     def snapshot(self) -> dict[str, object]:
         """Routing counters plus each target's breaker state, in one view."""
         with self._lock:
@@ -835,34 +839,52 @@ class FailoverRouter:
 # -- introspection helpers --------------------------------------------------------
 
 
-def resilience_report(backend: object) -> dict[str, object] | None:
-    """Breaker and failover state found anywhere in an access path, or ``None``.
+def _resilience_gates(
+    backend: object,
+) -> Iterator[tuple[CircuitBreaker | FailoverRouter, int | None]]:
+    """Every breaker and failover router a submission passes, with its shard.
 
-    Walks the chain like :func:`repro.backends.base.iter_chain` and collects
-    every :class:`CircuitBreakerLayer` snapshot plus the
-    :class:`FailoverRouter` snapshot when one serves as the raw backend —
-    the single probe :func:`repro.backends.stack.introspect` and the
-    dashboard's backend line both render.
+    Walks the chain like :func:`repro.backends.base.iter_chain`, descending
+    into each router's shards: per-shard breakers
+    (``ShardRouter.over_table(shard_layer=...)``) hang off the shards, not
+    the main chain.  Yields ``(gate, shard position)`` — ``None`` on the main
+    chain.  :func:`resilience_report`, :func:`chain_would_allow` and
+    :func:`chain_retry_after` all read this one walk, so they agree on which
+    nodes gate a submission.
     """
     from repro.backends.base import iter_chain
 
-    breakers: list[dict[str, object]] = []
-    failover: dict[str, object] | None = None
     for node in iter_chain(backend):
         if isinstance(node, CircuitBreakerLayer):
-            breakers.append(node.breaker.snapshot())
+            yield node.breaker, None
         elif isinstance(node, FailoverRouter):
-            failover = node.snapshot()
+            yield node, None
         shards = getattr(node, "shards", None)
         if isinstance(shards, tuple):
-            # Per-shard breakers (``ShardRouter.over_table(shard_layer=...)``)
-            # hang off the router's shards, not the main chain.
             for position, shard in enumerate(shards):
                 for shard_node in iter_chain(shard):
                     if isinstance(shard_node, CircuitBreakerLayer):
-                        snapshot = shard_node.breaker.snapshot()
-                        snapshot["shard"] = position
-                        breakers.append(snapshot)
+                        yield shard_node.breaker, position
+
+
+def resilience_report(backend: object) -> dict[str, object] | None:
+    """Breaker and failover state found anywhere in an access path, or ``None``.
+
+    Collects every breaker snapshot (per-shard ones tagged with ``shard``)
+    plus the :class:`FailoverRouter` snapshot when one serves as the raw
+    backend — the single probe :func:`repro.backends.stack.introspect` and
+    the dashboard's backend line both render.
+    """
+    breakers: list[dict[str, object]] = []
+    failover: dict[str, object] | None = None
+    for gate, shard in _resilience_gates(backend):
+        if isinstance(gate, FailoverRouter):
+            failover = gate.snapshot()
+            continue
+        snapshot = gate.snapshot()
+        if shard is not None:
+            snapshot["shard"] = shard
+        breakers.append(snapshot)
     if not breakers and failover is None:
         return None
     report: dict[str, object] = {}
@@ -876,46 +898,18 @@ def resilience_report(backend: object) -> dict[str, object] | None:
 def chain_would_allow(backend: object) -> bool:
     """Whether the access path would admit a submission right now.
 
-    True when every breaker in the chain would let a call (or probe)
-    through and — when a failover router serves the path — at least one of
-    its targets would.  A chain with no resilience nodes always allows:
-    there is nothing to wait out, so the caller should simply try.
+    True when every breaker in the chain — per-shard ones included, since a
+    merged response needs every shard — would let a call (or probe) through
+    and, when a failover router serves the path, at least one of its
+    targets would.  A chain with no resilience nodes always allows: there is
+    nothing to wait out, so the caller should simply try.
     """
-    from repro.backends.base import iter_chain
-
-    for node in iter_chain(backend):
-        if isinstance(node, CircuitBreakerLayer):
-            if not node.breaker.would_allow():
-                return False
-        elif isinstance(node, FailoverRouter):
-            if not node.would_allow():
-                return False
-        shards = getattr(node, "shards", None)
-        if isinstance(shards, tuple):
-            # A merged response needs *every* shard; one open shard breaker
-            # blocks the whole scatter.
-            for shard in shards:
-                for shard_node in iter_chain(shard):
-                    if isinstance(shard_node, CircuitBreakerLayer):
-                        if not shard_node.breaker.would_allow():
-                            return False
-    return True
+    return all(gate.would_allow() for gate, _ in _resilience_gates(backend))
 
 
 def chain_retry_after(backend: object) -> float:
     """Seconds until the most-blocking resilience node would admit a call."""
-    from repro.backends.base import iter_chain
-
-    waits = [0.0]
-    for node in iter_chain(backend):
-        if isinstance(node, CircuitBreakerLayer):
-            waits.append(node.breaker.retry_after())
-        elif isinstance(node, FailoverRouter):
-            target_waits = [
-                target.breaker.retry_after() for target in node._targets
-            ]
-            waits.append(min(target_waits) if target_waits else 0.0)
-    return max(waits)
+    return max((gate.retry_after() for gate, _ in _resilience_gates(backend)), default=0.0)
 
 
 __all__ = [

@@ -21,10 +21,8 @@ Every preset places its layers through one private ``_compose``:
   bytes, overlapped round-trips);
 * :func:`remote_stack` — the usual layers plus a retrying
   :class:`~repro.backends.layers.UnreliableLayer` over a
-  :mod:`repro.web.httpd` endpoint across a real socket, through the threaded
-  :class:`~repro.backends.remote.RemoteBackend` or, with
-  ``transport=AsyncRemoteBackend``, the event-loop client — the layers above
-  the transport are the same either way;
+  :mod:`repro.web.httpd` endpoint across a real socket, through a pooled
+  :class:`~repro.backends.remote.RemoteBackend`;
 * :func:`failover_stack` — the same layers over a health-checked
   :class:`~repro.backends.resilience.FailoverRouter` of remote targets.
 
@@ -35,7 +33,7 @@ All accept ``history=True`` to slot a
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend
 from repro.backends.base import RawBackend, forward_outcomes, iter_chain, raise_first_failure
@@ -57,9 +55,6 @@ from repro.database.ranking import RankingFunction
 from repro.database.schema import Schema
 from repro.database.table import Table
 from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.backends.async_remote import AsyncRemoteBackend
 
 #: A layer factory: given the backend to wrap, return the wrapping layer.
 #: Layer classes whose remaining parameters all default qualify directly.
@@ -428,18 +423,12 @@ def remote_stack(
     batch: int | None = None,
     pool_size: int = DEFAULT_POOL_SIZE,
     breaker: CircuitBreakerPolicy | bool | None = None,
-    transport: type[RemoteBackend] | type[AsyncRemoteBackend] = RemoteBackend,
 ) -> BackendStack:
     """A remote HTTP endpoint behind the same layer stack as the local paths.
 
-    The raw backend is a ``transport`` speaking JSON-over-HTTP to a
-    :mod:`repro.web.httpd` endpoint: the threaded
-    :class:`~repro.backends.remote.RemoteBackend` (default) over a bounded
-    pool of persistent keep-alive connections, or the event-loop
-    :class:`~repro.backends.async_remote.AsyncRemoteBackend` through its sync
-    facade, where ``pool_size`` bounds concurrent in-flight requests per
-    event loop instead.  The layers above are identical for both, and the
-    async equivalence tests hold the two transports together.  The
+    The raw backend is a :class:`~repro.backends.remote.RemoteBackend`
+    speaking JSON-over-HTTP to a :mod:`repro.web.httpd` endpoint over a
+    bounded pool of ``pool_size`` persistent keep-alive connections.  The
     construction-time schema fetch retries transient failures with the same
     ``max_retries``/``retry_backoff`` policy as submissions, so a server that
     is momentarily 503 does not kill the stack.  Directly above the adapter
@@ -476,7 +465,7 @@ def remote_stack(
     :class:`~repro.backends.resilience.CircuitBreakerPolicy`; pass a policy
     to tune the window; ``None`` (default) omits the layer.
     """
-    raw = transport(
+    raw = RemoteBackend(
         url,
         timeout=timeout,
         pool_size=pool_size,

@@ -7,17 +7,15 @@ trade is a clear win: a few tens of microseconds of CPU buys back most of the
 bytes a large batch puts on the socket.  Below the threshold the gzip header
 and CPU cost outweigh the savings, so small payloads travel as-is.
 
-This module is the **single definition** of that policy, shared by all four
-wire endpoints — the threaded :mod:`repro.web.httpd` server, the asyncio
-:mod:`repro.web.aiohttpd` server, the pooled
-:class:`~repro.backends.remote.RemoteBackend` client and the event-loop
-:class:`~repro.backends.async_remote.AsyncRemoteBackend` client — so both
-directions of both transports negotiate identically:
+This module is the **single definition** of that policy, shared by both
+wire ends — the :mod:`repro.web.httpd` server and the pooled
+:class:`~repro.backends.remote.RemoteBackend` client — so both directions
+negotiate identically:
 
 * **requests** carry ``Content-Encoding: gzip`` when the client compressed
-  the body (the servers always understand it);
+  the body (the server always understands it);
 * **responses** are compressed only when the request advertised
-  ``Accept-Encoding: gzip`` (both clients always do) *and* the body clears
+  ``Accept-Encoding: gzip`` (the client always does) *and* the body clears
   the threshold — an off-the-shelf client that never sends the header gets
   plain JSON.
 
@@ -29,7 +27,6 @@ assert literally.
 from __future__ import annotations
 
 import gzip
-import threading
 import zlib
 
 from repro.exceptions import FormParseError
@@ -97,8 +94,8 @@ def decompress(body: bytes, content_encoding: str | None, max_bytes: int) -> byt
     ``None``).  A coding this repo does not speak, a corrupt gzip stream, and
     a payload inflating past ``max_bytes`` (a compressed body must not
     sidestep the server's body-size cap) are all the *sender's* fault and
-    raise the typed :class:`~repro.exceptions.FormParseError` the servers
-    answer as HTTP 400.
+    raise the typed :class:`~repro.exceptions.FormParseError` the server
+    answers as HTTP 400.
     """
     coding = (content_encoding or "").strip().lower()
     if coding in ("", "identity"):
@@ -119,42 +116,3 @@ def decompress(body: bytes, content_encoding: str | None, max_bytes: int) -> byt
     if decompressor.unused_data:
         raise FormParseError("gzip body carries trailing garbage")
     return plain
-
-
-class CompressionCounters:
-    """Thread-safe counters of how often compression actually engaged.
-
-    The acceptance contract for wire compression is behavioural — engaged
-    above the threshold, skipped below it — so both remote clients keep these
-    counters and the wire tests assert them instead of guessing from sizes.
-    """
-
-    #: Machine-checked by reprolint R1 (guarded-state): counters are bumped
-    #: from transport threads and event loops concurrently.
-    _guarded_by = {
-        "requests_compressed": "_lock",
-        "responses_decompressed": "_lock",
-    }
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests_compressed = 0
-        self.responses_decompressed = 0
-
-    def count_request(self) -> None:
-        """One request body left this client gzip-compressed."""
-        with self._lock:
-            self.requests_compressed += 1
-
-    def count_response(self) -> None:
-        """One response body arrived gzip-compressed and was inflated."""
-        with self._lock:
-            self.responses_decompressed += 1
-
-    def statistics(self) -> dict[str, int]:
-        """Plain-dict counters for benchmarks and tests."""
-        with self._lock:
-            return {
-                "requests_compressed": self.requests_compressed,
-                "responses_decompressed": self.responses_decompressed,
-            }

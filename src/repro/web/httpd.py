@@ -41,14 +41,10 @@ socket read/write timeout (``request_timeout``), so a stalled client — half a
 request line, then silence — costs one handler thread for a bounded interval
 instead of forever.
 
-Everything about the endpoint that is *not* the thread-per-connection
-front end — the payload logic behind the four API routes, the request
-counters, the batch worker pool, deadline shedding and the gzip wire
-compression policy (:mod:`repro.web.compress`) — lives in
-:class:`DatabaseEndpoint`, which the event-loop front end
-(:class:`repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer`) shares, so the
-two servers cannot drift semantically: same fault mapping, same compression
-negotiation, same counters.
+This is the one HTTP server in the package: the payload logic behind the
+four API routes, the request counters, the batch worker pool, deadline
+shedding and the gzip wire compression policy (:mod:`repro.web.compress`,
+shared with the client) all live on :class:`HiddenDatabaseHTTPServer`.
 """
 
 from __future__ import annotations
@@ -189,18 +185,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self, status: int, body: bytes, content_type: str, headers: dict) -> None:
         endpoint = self.server.endpoint
-        endpoint.count_request(status)
         # Response-side compression is negotiated per request: only JSON
         # payloads (the HTML dialect predates the codec and stays plain),
         # only when the client advertised Accept-Encoding: gzip, and only
         # above the shared size threshold.
+        encoding = None
         if content_type == "application/json" and accepts_gzip(
             self.headers.get("Accept-Encoding")
         ):
             body, encoding = maybe_compress(body, endpoint.compress_threshold)
             if encoding is not None:
                 headers["Content-Encoding"] = encoding
-                endpoint.count_compressed_response()
+        endpoint.count_response(status, compressed=encoding is not None)
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -263,7 +259,18 @@ class _Handler(BaseHTTPRequestHandler):
         this host's monotonic clock) when the client sent one, ``None``
         otherwise.  A malformed value is the client's bug and answers 400.
         """
-        return self.server.endpoint.deadline_from_wire(self.headers.get(DEADLINE_HEADER))
+        raw = self.headers.get(DEADLINE_HEADER)
+        if raw is None:
+            return None
+        try:
+            remaining_ms = int(raw.strip())
+        except ValueError:
+            raise FormParseError(f"unreadable {DEADLINE_HEADER} header: {raw!r}") from None
+        # Imported lazily: repro.web must import without repro.backends
+        # (which itself imports this module for the API paths).
+        from repro.backends.resilience import Deadline
+
+        return Deadline.from_remaining_ms(remaining_ms)
 
     def _read_json_body(self) -> dict:
         """The request body as parsed JSON; malformed input is a 400."""
@@ -295,17 +302,26 @@ class _Server(ThreadingHTTPServer):
     endpoint: "HiddenDatabaseHTTPServer"
 
 
-class DatabaseEndpoint:
-    """Everything both HTTP front ends share: payloads, counters, policy.
+class HiddenDatabaseHTTPServer:
+    """Serve one hidden-database backend over a real TCP socket.
 
-    One instance is the semantic half of a served endpoint — the payload
-    logic behind the four API routes, the HTML dialect, the batch worker
-    pool, deadline shedding, the gzip compression policy, and the request
-    counters — with the transport half supplied by a subclass: the
-    thread-per-connection :class:`HiddenDatabaseHTTPServer` below, or the
-    event-loop :class:`repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer`.
-    Keeping this class transport-free is what guarantees the two servers
-    answer byte-identically (the wire tests drive both through it).
+    ``backend`` is any object satisfying the raw backend protocol (adapter,
+    layered :class:`~repro.backends.stack.BackendStack`, shard router, a
+    classic facade).  ``port=0`` (the default) lets the OS pick a free port —
+    the right choice for tests and benchmarks; read :attr:`url` after
+    construction.  ``batch_workers`` bounds the pool that answers the items
+    of one ``/api/submit_batch`` request concurrently (1 answers them
+    serially).  ``request_timeout`` bounds how long one connection may stall
+    between (or inside) requests before its handler thread is reclaimed.
+    The server binds at construction time but only answers once
+    :meth:`start` spawns the serving thread (or :meth:`serve_forever` takes
+    over the calling thread).
+
+    Used as a context manager it starts on enter and stops on exit::
+
+        with HiddenDatabaseHTTPServer(stack) as server:
+            backend = RemoteBackend(server.url)
+            ...
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the request counters
@@ -324,6 +340,8 @@ class DatabaseEndpoint:
     def __init__(
         self,
         backend: object,
+        host: str = "127.0.0.1",
+        port: int = 0,
         serve_pages: bool = True,
         batch_workers: int = 8,
         compress_threshold: int | None = DEFAULT_COMPRESS_THRESHOLD,
@@ -355,6 +373,9 @@ class DatabaseEndpoint:
         self.deadline_shed = 0
         self.compressed_requests = 0
         self.compressed_responses = 0
+        self._server = _Server((host, port), _Handler)
+        self._server.endpoint = self
+        self._thread: threading.Thread | None = None
 
     # -- request handling (called from handler/executor threads) ----------------
 
@@ -401,7 +422,8 @@ class DatabaseEndpoint:
         from repro.backends.resilience import deadline_scope
 
         if deadline is not None and deadline.expired:
-            self.count_deadline_shed()
+            with self._lock:
+                self.deadline_shed += 1
             raise DeadlineExceededError("server-side submission", remaining_ms=0)
         query = decode_query(self.backend.schema, query_string)
         with deadline_scope(deadline):
@@ -419,7 +441,8 @@ class DatabaseEndpoint:
         from repro.backends.resilience import deadline_scope
 
         if deadline is not None and deadline.expired:
-            self.count_deadline_shed()
+            with self._lock:
+                self.deadline_shed += 1
             raise DeadlineExceededError("server-side batch submission", remaining_ms=0)
         queries = batch_request_from_dict(self.backend.schema, payload)
 
@@ -446,41 +469,14 @@ class DatabaseEndpoint:
             raise PageNotFoundError(path)
         return self.site.get(path)
 
-    def count_request(self, status: int) -> None:
-        """Request accounting (handler threads report here)."""
+    def count_response(self, status: int, compressed: bool) -> None:
+        """Response accounting (handler threads report here)."""
         with self._lock:
             self.requests_served += 1
             if status >= 400:
                 self.fault_responses += 1
-
-    def count_deadline_shed(self) -> None:
-        """Count one request shed because its wire deadline had expired."""
-        with self._lock:
-            self.deadline_shed += 1
-
-    def count_compressed_response(self) -> None:
-        """Count one response body that left the server gzip-compressed."""
-        with self._lock:
-            self.compressed_responses += 1
-
-    def deadline_from_wire(self, raw: str | None) -> "Deadline | None":
-        """A request's remaining time budget, parsed off the wire header value.
-
-        Returns a :class:`repro.backends.resilience.Deadline` (re-anchored on
-        this host's monotonic clock) when the client sent one, ``None``
-        otherwise.  A malformed value is the client's bug and answers 400.
-        """
-        if raw is None:
-            return None
-        try:
-            remaining_ms = int(raw.strip())
-        except ValueError:
-            raise FormParseError(f"unreadable {DEADLINE_HEADER} header: {raw!r}") from None
-        # Imported lazily: repro.web must import without repro.backends
-        # (which itself imports this module for the API paths).
-        from repro.backends.resilience import Deadline
-
-        return Deadline.from_remaining_ms(remaining_ms)
+            if compressed:
+                self.compressed_responses += 1
 
     def decode_json_body(self, body: bytes, content_encoding: str | None) -> dict:
         """A request body — possibly gzip-compressed — as parsed JSON.
@@ -515,14 +511,6 @@ class DatabaseEndpoint:
                 "compressed_responses": self.compressed_responses,
             }
 
-    def close_pools(self) -> None:
-        """Shut down the lazily-created batch worker pool (front ends call
-        this from their own ``stop``)."""
-        with self._batch_pool_lock:
-            pool, self._batch_pool = self._batch_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     def _pool(self) -> ThreadPoolExecutor:
         with self._batch_pool_lock:
             if self._batch_pool is None:
@@ -531,50 +519,6 @@ class DatabaseEndpoint:
                     thread_name_prefix="httpd-batch",
                 )
             return self._batch_pool
-
-
-class HiddenDatabaseHTTPServer(DatabaseEndpoint):
-    """Serve one hidden-database backend over a real TCP socket.
-
-    ``backend`` is any object satisfying the raw backend protocol (adapter,
-    layered :class:`~repro.backends.stack.BackendStack`, shard router, a
-    classic facade).  ``port=0`` (the default) lets the OS pick a free port —
-    the right choice for tests and benchmarks; read :attr:`url` after
-    construction.  ``batch_workers`` bounds the pool that answers the items
-    of one ``/api/submit_batch`` request concurrently (1 answers them
-    serially).  ``request_timeout`` bounds how long one connection may stall
-    between (or inside) requests before its handler thread is reclaimed.
-    The server binds at construction time but only answers once
-    :meth:`start` spawns the serving thread (or :meth:`serve_forever` takes
-    over the calling thread).
-
-    Used as a context manager it starts on enter and stops on exit::
-
-        with HiddenDatabaseHTTPServer(stack) as server:
-            backend = RemoteBackend(server.url)
-            ...
-    """
-
-    def __init__(
-        self,
-        backend: object,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        serve_pages: bool = True,
-        batch_workers: int = 8,
-        compress_threshold: int | None = DEFAULT_COMPRESS_THRESHOLD,
-        request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        super().__init__(
-            backend,
-            serve_pages=serve_pages,
-            batch_workers=batch_workers,
-            compress_threshold=compress_threshold,
-            request_timeout=request_timeout,
-        )
-        self._server = _Server((host, port), _Handler)
-        self._server.endpoint = self
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -603,7 +547,10 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
         """Stop serving and release the socket (and the batch worker pool)."""
         self._server.shutdown()
         self._server.server_close()
-        self.close_pools()
+        with self._batch_pool_lock:
+            pool, self._batch_pool = self._batch_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -518,6 +518,38 @@ class TestChainHelpers:
         assert all(snapshot["state"] == "closed" for snapshot in report["breakers"])
         assert chain_would_allow(router)
 
+    def test_an_open_shard_breaker_reports_its_wait_on_the_served_health_probe(
+        self, tiny_table
+    ):
+        import json
+        import urllib.error
+        import urllib.request
+
+        from repro.backends import ShardRouter
+        from repro.web.httpd import HiddenDatabaseHTTPServer
+
+        clock = FakeClock()
+        policy = CircuitBreakerPolicy(window=4, failure_threshold=1, reset_timeout=30.0)
+        breakers = iter([CircuitBreaker(policy, clock=clock) for _ in range(2)])
+        router = ShardRouter.over_table(
+            tiny_table, 2, 2,
+            shard_layer=lambda shard: CircuitBreakerLayer(shard, breaker=next(breakers)),
+        )
+        router.shards[1].breaker.record_failure()
+        clock.advance(10.0)
+        # The gate and its wait come from the same walk: a blocking shard
+        # breaker is never reported as "retry now".
+        assert not chain_would_allow(router)
+        assert chain_retry_after(router) == pytest.approx(20.0)
+        with HiddenDatabaseHTTPServer(router) as server:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(server.url + "/api/health", timeout=5)
+        assert caught.value.code == 503
+        assert caught.value.headers["Retry-After"] == "20"
+        payload = json.loads(caught.value.read().decode("utf-8"))
+        assert payload["status"] == "degraded"
+        assert payload["retry_after"] == pytest.approx(20.0)
+
 
 def test_deadline_header_constant_agrees_with_the_server():
     # httpd.py duplicates the constant to avoid a module import cycle; this

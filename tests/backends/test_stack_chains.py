@@ -12,7 +12,6 @@ Options in the table are flags: ``history``, ``nostats`` (``statistics=False``),
 import pytest
 
 from repro.backends import (
-    AsyncRemoteBackend,
     QueryEngineBackend,
     engine_stack,
     failover_stack,
@@ -139,68 +138,6 @@ CHAINS = [
      "BudgetLayer → UnreliableLayer → RemoteBackend"),
     ("remote-sync", "history nostats parallel batch breaker", "DispatchLayer → HistoryLayer → "
      "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → RemoteBackend"),
-    ("remote-async", "", "StatisticsLayer → BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "breaker", "StatisticsLayer → BudgetLayer → UnreliableLayer → "
-     "CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "batch", "DispatchLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "batch breaker", "DispatchLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "parallel", "DispatchLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "parallel breaker", "DispatchLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "parallel batch", "DispatchLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "parallel batch breaker", "DispatchLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "nostats", "BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "nostats breaker", "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "nostats batch", "DispatchLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "nostats batch breaker", "DispatchLayer → BudgetLayer → UnreliableLayer → "
-     "CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "nostats parallel", "DispatchLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "nostats parallel breaker", "DispatchLayer → BudgetLayer → UnreliableLayer → "
-     "CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "nostats parallel batch", "DispatchLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "nostats parallel batch breaker", "DispatchLayer → BudgetLayer → "
-     "UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history", "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "history breaker", "HistoryLayer → StatisticsLayer → BudgetLayer → "
-     "UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history batch", "DispatchLayer → HistoryLayer → StatisticsLayer → "
-     "BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history batch breaker", "DispatchLayer → HistoryLayer → StatisticsLayer → "
-     "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history parallel", "DispatchLayer → HistoryLayer → StatisticsLayer → "
-     "BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history parallel breaker", "DispatchLayer → HistoryLayer → "
-     "StatisticsLayer → BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history parallel batch", "DispatchLayer → HistoryLayer → StatisticsLayer → "
-     "BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history parallel batch breaker", "DispatchLayer → HistoryLayer → "
-     "StatisticsLayer → BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats", "HistoryLayer → BudgetLayer → UnreliableLayer → "
-     "AsyncRemoteBackend"),
-    ("remote-async", "history nostats breaker", "HistoryLayer → BudgetLayer → UnreliableLayer → "
-     "CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats batch", "DispatchLayer → HistoryLayer → BudgetLayer → "
-     "UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats batch breaker", "DispatchLayer → HistoryLayer → "
-     "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats parallel", "DispatchLayer → HistoryLayer → BudgetLayer → "
-     "UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats parallel breaker", "DispatchLayer → HistoryLayer → "
-     "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats parallel batch", "DispatchLayer → HistoryLayer → "
-     "BudgetLayer → UnreliableLayer → AsyncRemoteBackend"),
-    ("remote-async", "history nostats parallel batch breaker", "DispatchLayer → HistoryLayer → "
-     "BudgetLayer → UnreliableLayer → CircuitBreakerLayer → AsyncRemoteBackend"),
     ("failover", "", "StatisticsLayer → BudgetLayer → UnreliableLayer → FailoverRouter"),
     ("failover", "batch", "DispatchLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → "
      "FailoverRouter"),
@@ -250,8 +187,6 @@ def build(preset, options, table, url):
         return sharded_stack(table, 2, 2, ranking=StaticScoreRanking(), **options)
     if preset == "remote-sync":
         return remote_stack(url, **options)
-    if preset == "remote-async":
-        return remote_stack(url, transport=AsyncRemoteBackend, **options)
     return failover_stack([url, url], **options)
 
 

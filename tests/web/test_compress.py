@@ -1,7 +1,7 @@
-"""Wire compression: negotiated gzip on both front ends, byte-identical.
+"""Wire compression: negotiated gzip between client and server, byte-identical.
 
 The acceptance contract of :mod:`repro.web.compress`, unit-level and then
-over real loopback sockets against **both** serving tiers:
+over real loopback sockets:
 
 * the negotiation helpers honour ``Accept-Encoding`` quality values and the
   size threshold, and reject corrupt/bomb/truncated gzip with the typed
@@ -10,8 +10,7 @@ over real loopback sockets against **both** serving tiers:
   both directions — and decode to exactly the bytes an uncompressed exchange
   carries — while small bodies skip compression entirely (asserted via the
   behavioural counters on both client and server, not by guessing sizes);
-* a malformed gzip request body is the sender's fault: HTTP 400 from either
-  front end.
+* a malformed gzip request body is the sender's fault: HTTP 400.
 """
 
 import gzip
@@ -21,12 +20,11 @@ import urllib.request
 
 import pytest
 
-from repro.backends import AsyncRemoteBackend, RemoteBackend, engine_stack
+from repro.backends import RemoteBackend, engine_stack
 from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
 from repro.exceptions import FormParseError
-from repro.web.aiohttpd import AsyncHiddenDatabaseHTTPServer
 from repro.web.compress import accepts_gzip, decompress, maybe_compress
 from repro.web.httpd import HiddenDatabaseHTTPServer
 
@@ -113,18 +111,14 @@ def _batch_queries(schema, count=40):
     ]
 
 
-@pytest.fixture(params=["threaded", "async"])
-def compressing_server(request, tiny_table):
-    """Each front end, configured to compress every response (threshold 1)."""
+@pytest.fixture()
+def compressing_server(tiny_table):
+    """A server configured to compress every response (threshold 1)."""
     served = engine_stack(
         tiny_table, k=2, ranking=StaticScoreRanking(),
         count_mode=CountMode.EXACT, statistics=False,
     )
-    server_class = (
-        HiddenDatabaseHTTPServer if request.param == "threaded"
-        else AsyncHiddenDatabaseHTTPServer
-    )
-    with server_class(served, compress_threshold=1) as endpoint:
+    with HiddenDatabaseHTTPServer(served, compress_threshold=1) as endpoint:
         yield endpoint
 
 
@@ -149,20 +143,6 @@ class TestWireCompression:
         assert wire["compressed_requests"] == 1
         assert wire["compressed_responses"] == counters["responses_decompressed"]
 
-    def test_async_client_negotiates_identically(
-        self, compressing_server, tiny_table, tiny_schema
-    ):
-        oracle = engine_stack(
-            tiny_table, k=2, ranking=StaticScoreRanking(),
-            count_mode=CountMode.EXACT, statistics=False,
-        )
-        queries = _batch_queries(tiny_schema)
-        with AsyncRemoteBackend(compressing_server.url, compress_threshold=1) as client:
-            assert client.submit_outcomes(queries) == [oracle.submit(q) for q in queries]
-            counters = client.compression_statistics
-        assert counters["requests_compressed"] == 1
-        assert counters["responses_decompressed"] >= 2
-
     def test_small_bodies_skip_compression(self, tiny_table, tiny_schema):
         # Default thresholds: one single-query exchange stays well below 1024
         # bytes in both directions, so neither side engages gzip.
@@ -170,19 +150,18 @@ class TestWireCompression:
             tiny_table, k=2, ranking=StaticScoreRanking(),
             count_mode=CountMode.EXACT, statistics=False,
         )
-        for server_class in (HiddenDatabaseHTTPServer, AsyncHiddenDatabaseHTTPServer):
-            with server_class(served) as endpoint:
-                client = RemoteBackend(endpoint.url)
-                client.submit(ConjunctiveQuery.empty(tiny_schema))
-                counters = client.compression_statistics
-                client.close()
-                assert counters == {
-                    "requests_compressed": 0,
-                    "responses_decompressed": 0,
-                }
-                wire = endpoint.wire_statistics()
-                assert wire["compressed_requests"] == 0
-                assert wire["compressed_responses"] == 0
+        with HiddenDatabaseHTTPServer(served) as endpoint:
+            client = RemoteBackend(endpoint.url)
+            client.submit(ConjunctiveQuery.empty(tiny_schema))
+            counters = client.compression_statistics
+            client.close()
+            assert counters == {
+                "requests_compressed": 0,
+                "responses_decompressed": 0,
+            }
+            wire = endpoint.wire_statistics()
+            assert wire["compressed_requests"] == 0
+            assert wire["compressed_responses"] == 0
 
     def test_compressed_and_plain_exchanges_carry_identical_payloads(
         self, compressing_server, tiny_schema
@@ -191,7 +170,7 @@ class TestWireCompression:
         # (no Accept-Encoding, compression disabled) gets byte-identical
         # answers from the same compressing server.
         queries = _batch_queries(tiny_schema)
-        with AsyncRemoteBackend(compressing_server.url, compress_threshold=1) as gzipped:
+        with RemoteBackend(compressing_server.url, compress_threshold=1) as gzipped:
             compressed_answers = gzipped.submit_outcomes(queries)
         plain = RemoteBackend(compressing_server.url, compress_threshold=None)
         try:

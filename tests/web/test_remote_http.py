@@ -16,6 +16,7 @@ real HTTP requests through the stdlib stack — no mocking.  The contract:
 
 import json
 import random
+import socket
 import urllib.error
 import urllib.request
 
@@ -71,6 +72,10 @@ def server(tiny_backend):
         yield endpoint
 
 
+def _port(endpoint):
+    return int(endpoint.url.rsplit(":", 1)[1])
+
+
 class TestJsonCodec:
     def test_schema_round_trips_through_json_text(self, tiny_schema):
         payload = json.loads(json.dumps(schema_to_dict(tiny_schema, k=7)))
@@ -117,10 +122,37 @@ class TestRemoteRoundTrip:
         ).read().decode()
         assert "Honda" in results
 
+    def test_pages_can_be_disabled(self, tiny_backend):
+        with HiddenDatabaseHTTPServer(tiny_backend, serve_pages=False) as endpoint:
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(endpoint.url + "/search", timeout=5)
+            assert info.value.code == 404
+
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(server.url + "/nope", timeout=5)
         assert info.value.code == 404
+
+    def test_malformed_request_line_is_400_and_close(self, server):
+        # Four tokens ending in a valid version: the stdlib parser knows the
+        # peer speaks HTTP/1.1, so it answers with a status line.  (A line of
+        # two or three tokens with no valid version is answered HTTP/0.9
+        # style, body only.)
+        with socket.create_connection(("127.0.0.1", _port(server)), timeout=5) as sock:
+            sock.sendall(b"utter nonsense here HTTP/1.1\r\n\r\n")
+            response = sock.makefile("rb").read()  # EOF: the server closed
+        assert response.startswith(b"HTTP/1.1 400")
+
+    def test_oversized_batch_body_is_refused(self, server):
+        # urllib refuses to lie about Content-Length, so speak raw HTTP: a
+        # declared 1 GiB body is refused before any of it is read.
+        with socket.create_connection(("127.0.0.1", _port(server)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /api/submit_batch HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 1073741824\r\n\r\n"
+            )
+            status = sock.makefile("rb").readline()
+        assert b"400" in status
 
     def test_malformed_query_string_is_400_and_formparseerror(self, server, tiny_schema):
         with pytest.raises(urllib.error.HTTPError) as info:
@@ -242,6 +274,38 @@ class TestRemoteRoundTrip:
     def test_non_http_url_rejected(self):
         with pytest.raises(ConfigurationError):
             RemoteBackend("ftp://example.com")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"timeout": 0.0},
+            {"timeout": -1.0},
+            {"pool_size": -1},
+            {"connect_retries": -1},
+            {"connect_backoff": -0.1},
+            {"compress_threshold": -5},
+        ],
+    )
+    def test_bad_parameters_rejected(self, kwargs):
+        # Refused before any connect: a zero timeout would otherwise read as
+        # an unreachable (retryable) server, a negative one as a bare
+        # ValueError outside the exception taxonomy.
+        with pytest.raises(ConfigurationError):
+            RemoteBackend("http://127.0.0.1:9", **kwargs)
+
+
+class TestSlowClientReclaim:
+    def test_stalled_connection_is_closed_and_service_continues(self, tiny_backend):
+        # A client that opens a connection and sends half a request line must
+        # not pin a handler thread forever: the per-connection timeout
+        # reclaims it, and well-behaved clients are still served.
+        with HiddenDatabaseHTTPServer(tiny_backend, request_timeout=0.3) as endpoint:
+            with socket.create_connection(("127.0.0.1", _port(endpoint)), timeout=5) as stalled:
+                stalled.sendall(b"GET /api/sch")  # ...and never finishes
+                stalled.settimeout(5)
+                assert stalled.recv(4096) == b""  # server closed on us
+            with urllib.request.urlopen(endpoint.url + "/api/schema", timeout=5) as response:
+                assert response.status == 200
 
 
 class TestFaultTranslation:
