@@ -551,6 +551,175 @@ class TestChainHelpers:
         assert payload["retry_after"] == pytest.approx(20.0)
 
 
+# -- one walk, three readers ------------------------------------------------------
+#
+# Each shape below builds an access path with its resilience nodes in a known
+# state.  ``chain_would_allow``, ``chain_retry_after`` and
+# ``resilience_report`` must agree on it: the path admits a call exactly when
+# the wait is zero, and the report lists every gate the walk found.
+
+RESET = 30.0
+
+
+def _tripped(clock):
+    """A breaker on ``clock`` that trips on its first failure."""
+    return CircuitBreaker(
+        CircuitBreakerPolicy(window=4, failure_threshold=1, reset_timeout=RESET), clock=clock
+    )
+
+
+def _guarded(table, clock):
+    """An engine stack under one main-chain breaker; returns (stack, breaker)."""
+    breaker = _tripped(clock)
+    stack = BackendStack(
+        engine_stack(table, k=2, ranking=StaticScoreRanking(), statistics=False).top,
+        [lambda inner: CircuitBreakerLayer(inner, breaker=breaker)],
+    )
+    return stack, breaker
+
+
+def _sharded(table, clock):
+    """A two-shard router with a breaker per shard; returns (router, breakers)."""
+    from repro.backends import ShardRouter
+
+    breakers = [_tripped(clock) for _ in range(2)]
+    pending = iter(breakers)
+    router = ShardRouter.over_table(
+        table, 2, 2,
+        shard_layer=lambda shard: CircuitBreakerLayer(shard, breaker=next(pending)),
+    )
+    return router, breakers
+
+
+def _failover(table):
+    """A primary and one replica; their breakers run on the real clock."""
+    from repro.backends import FailoverRouter
+
+    def target():
+        return engine_stack(table, k=2, ranking=StaticScoreRanking(), statistics=False)
+
+    return FailoverRouter(
+        target(), [target()],
+        policy=CircuitBreakerPolicy(window=4, failure_threshold=1, reset_timeout=60.0),
+    )
+
+
+def shape_bare(table, clock):
+    return engine_stack(table, k=2, ranking=StaticScoreRanking())
+
+
+def shape_closed_breaker(table, clock):
+    return _guarded(table, clock)[0]
+
+
+def shape_open_breaker(table, clock):
+    stack, breaker = _guarded(table, clock)
+    breaker.record_failure()
+    clock.advance(10.0)
+    return stack
+
+
+def shape_open_breaker_due_a_probe(table, clock):
+    stack, breaker = _guarded(table, clock)
+    breaker.record_failure()
+    clock.advance(RESET)
+    return stack
+
+
+def shape_half_open_probe_in_flight(table, clock):
+    stack, breaker = _guarded(table, clock)
+    breaker.record_failure()
+    clock.advance(RESET)
+    breaker.before_call()  # admits the probe; it has not reported back
+    return stack
+
+
+def shape_closed_shards(table, clock):
+    return _sharded(table, clock)[0]
+
+
+def shape_one_shard_open(table, clock):
+    router, breakers = _sharded(table, clock)
+    breakers[1].record_failure()
+    clock.advance(10.0)
+    return router
+
+
+def shape_two_shards_open_at_different_times(table, clock):
+    router, breakers = _sharded(table, clock)
+    breakers[0].record_failure()
+    clock.advance(10.0)
+    breakers[1].record_failure()
+    clock.advance(5.0)  # shard 0 waits 15 s more, shard 1 waits 25 s
+    return router
+
+
+def shape_open_breaker_over_closed_shards(table, clock):
+    router, _ = _sharded(table, clock)
+    breaker = _tripped(clock)
+    stack = BackendStack(router, [lambda inner: CircuitBreakerLayer(inner, breaker=breaker)])
+    breaker.record_failure()
+    clock.advance(10.0)
+    return stack
+
+
+def shape_failover_primary_open(table, clock):
+    router = _failover(table)
+    router.breaker("primary").record_failure()
+    return router
+
+
+def shape_failover_every_target_open(table, clock):
+    router = _failover(table)
+    router.breaker("primary").record_failure()
+    router.breaker("replica-1").record_failure()
+    return router
+
+
+GATE_SHAPES = [
+    (shape_bare, True, 0.0, None),
+    (shape_closed_breaker, True, 0.0, ["closed"]),
+    (shape_open_breaker, False, 20.0, ["open"]),
+    (shape_open_breaker_due_a_probe, True, 0.0, ["open"]),
+    (shape_half_open_probe_in_flight, False, RESET, ["half_open"]),
+    (shape_closed_shards, True, 0.0, ["shard 0: closed", "shard 1: closed"]),
+    (shape_one_shard_open, False, 20.0, ["shard 0: closed", "shard 1: open"]),
+    (shape_two_shards_open_at_different_times, False, 25.0,
+     ["shard 0: open", "shard 1: open"]),
+    (shape_open_breaker_over_closed_shards, False, 20.0,
+     ["open", "shard 0: closed", "shard 1: closed"]),
+    (shape_failover_primary_open, True, 0.0, ["primary: open", "replica-1: closed"]),
+    # Failover breakers run on the real clock: a few ms may already be gone.
+    (shape_failover_every_target_open, False, pytest.approx(60.0, abs=1.0),
+     ["primary: open", "replica-1: open"]),
+]
+
+
+def _reported_states(report):
+    """The report flattened to one ``[where: ]state`` line per gate."""
+    if report is None:
+        return None
+    states = []
+    for snapshot in report.get("breakers", []):
+        where = f"shard {snapshot['shard']}: " if "shard" in snapshot else ""
+        states.append(where + snapshot["state"])
+    for name, snapshot in report.get("failover", {}).get("targets", {}).items():
+        states.append(f"{name}: {snapshot['state']}")
+    return states
+
+
+@pytest.mark.parametrize(
+    "build, allows, wait, states",
+    [pytest.param(*row, id=row[0].__name__.removeprefix("shape_")) for row in GATE_SHAPES],
+)
+def test_gate_readers_agree(tiny_table, build, allows, wait, states):
+    backend = build(tiny_table, FakeClock())
+    assert chain_would_allow(backend) is allows
+    assert chain_retry_after(backend) == wait
+    assert (chain_retry_after(backend) == 0.0) is allows
+    assert _reported_states(resilience_report(backend)) == states
+
+
 def test_deadline_header_constant_agrees_with_the_server():
     # httpd.py duplicates the constant to avoid a module import cycle; this
     # is the test that duplication comment promises.
